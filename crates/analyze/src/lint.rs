@@ -15,7 +15,7 @@
 //!   and the defining file. Field names are parsed from the defining
 //!   file, so the rule tracks each struct automatically.
 //! * **L3-determinism** — no host-time or environment reads outside
-//!   `selfprof.rs`, `crates/bench`, `crates/sweep`, and this crate:
+//!   `selfprof.rs`, `crates/sweep`, `crates/serve`, and this crate:
 //!   simulation results must be a pure function of (workload, seed,
 //!   config) or the `pp-sweep` result cache would serve stale science.
 //! * **L4-config-canonical-json** — every `SimConfig` field appears in
@@ -162,7 +162,6 @@ const NONDETERMINISM_TOKENS: &[&str] = &[
 /// and environment access are these components' purpose).
 const DETERMINISM_EXEMPT: &[&str] = &[
     "crates/core/src/selfprof.rs",
-    "crates/bench/",
     "crates/sweep/",
     "crates/analyze/",
     "crates/serve/",
@@ -199,8 +198,7 @@ fn read_line(root: &Path, rel: &str, line: usize) -> String {
 }
 
 /// All `.rs` files under `crates/*/src` and the root package's `src/`,
-/// repo-relative. Tests directories are exempt from every rule; the
-/// excluded `crates/bench` never ships simulation results.
+/// repo-relative. Tests directories are exempt from every rule.
 fn workspace_sources(root: &Path) -> Result<Vec<String>, String> {
     let mut out = Vec::new();
     let crates_dir = root.join("crates");
@@ -444,7 +442,7 @@ fn lint_determinism(
                     line: line_of(&src, at),
                     message: format!(
                         "host time/environment read `{token}` outside \
-                         selfprof/bench/sweep: `{}`",
+                         selfprof/sweep/serve: `{}`",
                         line_text(&src, at)
                     ),
                 });

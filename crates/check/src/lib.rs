@@ -14,11 +14,7 @@
 //! * the **per-cycle sanitizer** (`SimConfig::with_sanitizer`), which
 //!   validates the machine's internal invariants — CTX tag hierarchy,
 //!   wakeup/completion bookkeeping, store-buffer filtering, register
-//!   conservation, SoA mask/array coherence — after every cycle, and
-//! * the **fast-forward differential pair**: each configuration runs
-//!   once cycle-exact and once with quiescent-cycle elision
-//!   (`SimConfig::with_fast_forward`), and the two final `SimStats`
-//!   must be byte-identical.
+//!   conservation, SoA mask/array coherence — after every cycle.
 //!
 //! ## Program generation
 //!
@@ -383,61 +379,8 @@ impl std::fmt::Display for CheckReport {
     }
 }
 
-/// Fast-forward differential pair: run the named machine cycle-exact
-/// and again with quiescent-cycle elision
-/// ([`SimConfig::with_fast_forward`]), and require byte-identical final
-/// stats — the cycle-exact run is the oracle. The elided run keeps the
-/// per-cycle sanitizer armed, so a corrupt re-entry state fails loudly
-/// even when it would not change the committed statistics.
-fn check_fast_forward_pair(program: &Program, name: &'static str) -> Result<(), CheckReport> {
-    let mut cfg = fuzz_config(name);
-    cfg.check_commits = false;
-    cfg.sanitize = false;
-
-    let exact = {
-        let mut sim = Simulator::new(program, cfg.clone());
-        match catch_unwind(AssertUnwindSafe(|| sim.run())) {
-            Ok(stats) => stats,
-            Err(payload) => {
-                return Err(CheckReport {
-                    config: name,
-                    report: format!(
-                        "cycle-exact reference run panicked: {}",
-                        panic_message(payload)
-                    ),
-                })
-            }
-        }
-    };
-
-    let mut sim = Simulator::new(program, cfg.with_fast_forward().with_sanitizer());
-    match catch_unwind(AssertUnwindSafe(|| sim.run())) {
-        Ok(ff) => {
-            if ff.to_json() != exact.to_json() {
-                return Err(CheckReport {
-                    config: name,
-                    report: format!(
-                        "fast-forward diverged from the cycle-exact machine\n\
-                         --- cycle-exact ---\n{}\n--- fast-forward ---\n{}",
-                        exact.to_json(),
-                        ff.to_json()
-                    ),
-                });
-            }
-        }
-        Err(payload) => {
-            return Err(CheckReport {
-                config: name,
-                report: format!("fast-forward run panicked: {}", panic_message(payload)),
-            })
-        }
-    }
-    Ok(())
-}
-
-/// Run `program` under all three fuzz configurations with the oracle and
-/// sanitizer armed, then under each configuration's fast-forward
-/// differential pair; `Err` carries the first failure's report.
+/// Run `program` under every fuzz configuration with the oracle and
+/// sanitizer armed; `Err` carries the first failure's report.
 pub fn check_program(program: &Program) -> Result<(), CheckReport> {
     // Architectural pre-check: the plan language guarantees halting, so
     // an emulator that doesn't halt here is a generator bug, reported
@@ -492,9 +435,6 @@ pub fn check_program(program: &Program) -> Result<(), CheckReport> {
                 })
             }
         }
-    }
-    for name in FUZZ_CONFIGS {
-        check_fast_forward_pair(program, name)?;
     }
     Ok(())
 }

@@ -246,15 +246,6 @@ pub struct SimConfig {
     /// scratch and panic on the first violation. Expensive — for debugging
     /// and fuzzing, not timing runs.
     pub sanitize: bool,
-    /// Elide provably-inert cycles: when exactly one path is live and the
-    /// machine can prove nothing observable happens until a known future
-    /// cycle (next writeback, next front-end maturation, or a configured
-    /// limit), jump the clock there in one step, bulk-charging the stall
-    /// and occupancy statistics for the skipped span. Committed-state
-    /// statistics are bit-identical to the cycle-by-cycle machine (the
-    /// golden invisibility suite enforces this); off by default so timing
-    /// runs exercise the full cycle loop unless explicitly opted in.
-    pub fast_forward: bool,
 }
 
 impl SimConfig {
@@ -282,7 +273,6 @@ impl SimConfig {
             dcache: None,
             check_commits: false,
             sanitize: false,
-            fast_forward: false,
         }
     }
 
@@ -355,13 +345,6 @@ impl SimConfig {
     #[must_use]
     pub fn with_sanitizer(mut self) -> Self {
         self.sanitize = true;
-        self
-    }
-
-    /// Builder-style: enable quiescent-cycle fast-forwarding.
-    #[must_use]
-    pub fn with_fast_forward(mut self) -> Self {
-        self.fast_forward = true;
         self
     }
 
@@ -636,8 +619,7 @@ impl SimConfig {
         let _ = writeln!(o, "  \"max_cycles\": {},", self.max_cycles);
         let _ = writeln!(o, "  \"dcache\": {dcache},");
         let _ = writeln!(o, "  \"check_commits\": {},", self.check_commits);
-        let _ = writeln!(o, "  \"sanitize\": {},", self.sanitize);
-        let _ = writeln!(o, "  \"fast_forward\": {}", self.fast_forward);
+        let _ = writeln!(o, "  \"sanitize\": {}", self.sanitize);
         let _ = writeln!(o, "}}");
         o
     }
@@ -1023,7 +1005,6 @@ mod tests {
             "dcache",
             "check_commits",
             "sanitize",
-            "fast_forward",
         ] {
             assert!(j.contains(&format!("\"{key}\":")), "missing {key} in {j}");
         }
@@ -1046,7 +1027,6 @@ mod tests {
             a.clone().with_commit_time_resolution(),
             a.clone().with_dcache(crate::cache::CacheConfig::l1_8k()),
             a.clone().with_fus(FuConfig::uniform(2)),
-            a.clone().with_fast_forward(),
         ];
         for v in &variants {
             assert_ne!(v.to_canonical_json(), j, "{v:?} rendered like baseline");

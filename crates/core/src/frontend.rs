@@ -317,18 +317,6 @@ impl FrontEnd {
         }
     }
 
-    /// Non-mutating peek at the oldest latch: `Some((live, fetch_cycle))`,
-    /// or `None` when the queue is empty. The fast-forward eligibility
-    /// check uses it to see whether dispatch could make progress without
-    /// running [`pop_ready`](Self::pop_ready)'s corpse reclamation.
-    pub(crate) fn peek_head(&self) -> Option<(bool, u64)> {
-        if self.is_empty() {
-            return None;
-        }
-        let slot = self.head as usize & self.ring_mask;
-        Some((self.live_bit(slot), self.slots[slot].fetch_cycle))
-    }
-
     /// The oldest instruction, if it has spent `latency` cycles in the
     /// front-end by cycle `now` (killed instructions are dropped on the
     /// way and returned via the `dropped` callback).

@@ -83,6 +83,7 @@ mod config;
 mod flight;
 mod frontend;
 mod fus;
+pub mod json;
 mod observer;
 mod oracle;
 pub mod policy;

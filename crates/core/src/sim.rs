@@ -118,14 +118,6 @@ pub struct Simulator {
     live_divergences: usize,
     halted: bool,
     last_commit_cycle: u64,
-    /// Fast-forward probe arming ([`SimConfig::fast_forward`]): the
-    /// quiescence probe runs only on the transition into quiescence —
-    /// armed when the previous cycle did no work — instead of polling
-    /// every cycle. Purely a scheduling heuristic: the probe re-proves
-    /// quiescence from machine state before any skip, so a stale flag
-    /// costs a wasted probe or one fully-simulated inert cycle, never a
-    /// statistics deviation.
-    ff_armed: bool,
     stats: SimStats,
     fid_next: u64,
     observer: Option<Box<dyn PipelineObserver>>,
@@ -341,7 +333,6 @@ impl Simulator {
             live_divergences: 0,
             halted: false,
             last_commit_cycle: 0,
-            ff_armed: true,
             now: 0,
             seq_next: 0,
             birth_next: 1,
@@ -502,9 +493,6 @@ impl Simulator {
                 self.stats.hit_cycle_limit = true;
                 break;
             }
-            if self.cfg.fast_forward && self.ff_armed {
-                self.try_fast_forward();
-            }
             self.cycle();
             assert!(
                 self.now - self.last_commit_cycle < DEADLOCK_CYCLES,
@@ -528,149 +516,8 @@ impl Simulator {
         self.stats.clone()
     }
 
-    /// Quiescent-cycle elision ([`SimConfig::fast_forward`]): when the
-    /// machine can prove that every stage is inert until a known future
-    /// cycle, jump the clock there in one step, bulk-charging exactly the
-    /// statistics the skipped cycles would have recorded.
-    ///
-    /// A cycle is inert when it mutates nothing but per-cycle accounting:
-    /// no commit (head not `Done`), no writeback (completion bucket
-    /// empty), no issue (candidate bitmap empty), no dispatch (front-end
-    /// empty, or its live head still immature, or structurally stalled on
-    /// a full window), and no fetch (the lone path parked, or the
-    /// front-end full). The jump target is the earliest cycle any of
-    /// that changes: the next scheduled completion, the front-end head's
-    /// maturation, the configured cycle limit, or the deadlock horizon —
-    /// whichever comes first — and the machine re-enters the exact
-    /// cycle-by-cycle loop there. Restricted to a single live path with
-    /// no live divergences and no instrumentation attached, so committed
-    /// statistics stay bit-identical to the full simulation (pinned by
-    /// the golden invisibility suite and the differential fuzzer).
-    fn try_fast_forward(&mut self) {
-        // Instrumented runs observe every cycle; never elide under them.
-        if self.observer.is_some()
-            || self.stallstack.is_some()
-            || self.flight.is_some()
-            || self.selfprof.is_some()
-        {
-            return;
-        }
-        if self.halted || self.paths.live() != 1 || self.live_divergences != 0 {
-            return;
-        }
-        // Commit inert: no completed head. (Corpses ahead of the first
-        // live entry are fine — reclaiming them is timing-invariant and
-        // the re-entry cycle does it.)
-        if self
-            .window
-            .iter_live()
-            .next()
-            .is_some_and(|e| e.state == EntryState::Done)
-        {
-            return;
-        }
-        // Issue inert: nothing on the candidate bitmap (an FU-blocked
-        // candidate would retry on a schedule of its own; do not elide).
-        if self.window.ready_words.iter().any(|&w| w != 0) {
-            return;
-        }
-
-        // The deadlock horizon and the cycle limit always bound the jump;
-        // landing one cycle short of the horizon lets the re-entry cycle
-        // trip the normal no-forward-progress check.
-        let mut next_event = self
-            .cfg
-            .max_cycles
-            .min(self.last_commit_cycle + DEADLOCK_CYCLES - 1);
-
-        // Writeback inert until the next non-empty completion bucket.
-        let ring = self.completions.len() as u64;
-        for d in 0..ring {
-            if !self.completions[((self.now + d) % ring) as usize].is_empty() {
-                if d == 0 {
-                    return; // a completion is due this very cycle
-                }
-                next_event = next_event.min(self.now + d);
-                break;
-            }
-        }
-
-        // Dispatch: an empty front-end is inert; a live immature head is
-        // inert until it matures; a mature head held back by a full
-        // window is a structural stall charged per skipped cycle;
-        // anything else would make progress.
-        let mut charge_dispatch_full = false;
-        match self.frontend.peek_head() {
-            None => {}
-            Some((false, _)) => return, // corpse reclaimed this cycle
-            Some((true, fetched)) => {
-                let mature_at = fetched + self.cfg.frontend_latency();
-                if mature_at > self.now {
-                    next_event = next_event.min(mature_at);
-                } else if self.window.is_full() {
-                    charge_dispatch_full = true;
-                } else {
-                    return; // would dispatch
-                }
-            }
-        }
-
-        // Fetch: inert when the lone path is parked (charged as a
-        // no-path stall every cycle) or when the front-end has no room.
-        let fetching = self.paths.iter().next().is_some_and(|(_, p)| p.fetching);
-        if fetching && !self.frontend.is_full() {
-            return; // would fetch
-        }
-
-        if next_event <= self.now {
-            return;
-        }
-        let skipped = next_event - self.now;
-
-        // Bulk-charge exactly what `cycle()` would have recorded over the
-        // skipped span.
-        let fus = &self.cfg.fus;
-        let s = &mut self.stats;
-        s.fu_int0.capacity_cycles += fus.int0 as u64 * skipped;
-        s.fu_int1.capacity_cycles += fus.int1 as u64 * skipped;
-        s.fu_fp_add.capacity_cycles += fus.fp_add as u64 * skipped;
-        s.fu_fp_mul.capacity_cycles += fus.fp_mul as u64 * skipped;
-        s.fu_mem.capacity_cycles += fus.mem_ports as u64 * skipped;
-        s.record_path_count_many(1, skipped);
-        s.window_occupancy_sum += self.window.occupancy() as u64 * skipped;
-        if !fetching {
-            s.fetch_stall_no_path += skipped;
-        }
-        if charge_dispatch_full {
-            s.dispatch_stall_window_full += skipped;
-        }
-        self.now = next_event;
-        // The landing cycle has an event due by construction; the next
-        // quiescent-entry transition re-arms the probe.
-        self.ff_armed = false;
-    }
-
     /// Simulate a single cycle.
     pub fn cycle(&mut self) {
-        // Probe-arming signals, read before the stages run: a non-empty
-        // completion bucket or issue candidate means this cycle works;
-        // the frontend length and commit count deltas catch the rest
-        // (fetch, dispatch, corpse reclaim, commit). Over-detecting
-        // work only delays the probe by one inert cycle; under-
-        // detecting only wastes a probe — the probe itself re-verifies.
-        let ff_enabled = self.cfg.fast_forward;
-        let (ff_work_due, ff_frontend_len, ff_committed) = if ff_enabled {
-            let ring = self.completions.len() as u64;
-            (
-                !self.completions[(self.now % ring) as usize].is_empty()
-                    || self.window.ready_words.iter().any(|&w| w != 0),
-                self.frontend.len(),
-                self.stats.committed_instructions,
-            )
-        } else {
-            (false, 0, 0)
-        };
-
         self.fu_pool.begin_cycle();
         self.account_fu_capacity();
 
@@ -738,14 +585,6 @@ impl Simulator {
         }
         if self.cfg.sanitize {
             self.assert_sane();
-        }
-        if ff_enabled {
-            // An inert cycle is the transition into quiescence: arm the
-            // probe for the next iteration.
-            let worked = ff_work_due
-                || self.frontend.len() != ff_frontend_len
-                || self.stats.committed_instructions != ff_committed;
-            self.ff_armed = !worked;
         }
         self.now += 1;
     }
@@ -2221,38 +2060,6 @@ mod tests {
     use super::*;
     use pp_isa::{reg, Asm};
 
-    /// A long serial multiply chain: after the front of the chain
-    /// dispatches, the machine spends most of its time waiting out the
-    /// multiplier latency with an empty candidate bitmap — exactly the
-    /// quiescent spans fast-forward exists to elide.
-    fn mul_chain_program() -> pp_isa::Program {
-        let mut a = Asm::new();
-        a.li(reg::T0, 3);
-        for _ in 0..64 {
-            a.mul(reg::T0, reg::T0, reg::T0);
-        }
-        a.halt();
-        a.assemble().expect("assembles")
-    }
-
-    /// A branchy reduction loop, to differentially cover kill/commit
-    /// interleavings around re-entry boundaries.
-    fn branchy_program() -> pp_isa::Program {
-        let mut a = Asm::new();
-        let buf = a.alloc_zeroed(8);
-        a.li(reg::T0, 200);
-        a.li(reg::T1, 0);
-        let top = a.here();
-        a.add(reg::T1, reg::T1, reg::T0);
-        a.st(reg::T1, reg::ZERO, buf as i64);
-        a.ld(reg::T2, reg::ZERO, buf as i64);
-        a.mul(reg::T2, reg::T2, reg::T2);
-        a.addi(reg::T0, reg::T0, -1);
-        a.bgt(reg::T0, 0, top);
-        a.halt();
-        a.assemble().expect("assembles")
-    }
-
     /// An if-then hammock under a pseudo-random (LCG-driven) condition:
     /// the branch is chronically hard to predict, so SEE forks it, and
     /// the taken target *is* the true reconvergence point, so the merge
@@ -2461,66 +2268,5 @@ mod tests {
         // Untracked forks are still architecturally invisible.
         let base = Simulator::new(&p, SimConfig::baseline()).run();
         assert_eq!(stats.committed_instructions, base.committed_instructions);
-    }
-
-    #[test]
-    fn fast_forward_actually_elides_cycles() {
-        let p = mul_chain_program();
-        let reference = Simulator::new(&p, SimConfig::baseline()).run();
-
-        let mut sim = Simulator::new(&p, SimConfig::baseline().with_fast_forward());
-        let mut elided = 0u64;
-        let mut executed = 0u64;
-        // Mirror of `run()`'s loop, instrumented to observe the jumps.
-        while !sim.halted {
-            assert!(sim.now < sim.cfg.max_cycles, "unexpected cycle-limit hit");
-            let before = sim.now;
-            sim.try_fast_forward();
-            elided += sim.now - before;
-            sim.cycle();
-            executed += 1;
-        }
-        sim.stats.cycles = sim.now;
-
-        assert_eq!(elided + executed, sim.now, "every cycle elided or executed");
-        assert!(
-            elided > executed,
-            "a serial multiply chain should be mostly quiescent \
-             (elided {elided}, executed {executed})"
-        );
-        assert_eq!(
-            sim.stats.to_json(),
-            reference.to_json(),
-            "fast-forward must be byte-invisible"
-        );
-    }
-
-    #[test]
-    fn fast_forward_is_invisible_on_branchy_code() {
-        for cfg in [
-            SimConfig::baseline(),
-            SimConfig::monopath_baseline(),
-            SimConfig::baseline().with_commit_time_resolution(),
-            see_merge_config(),
-        ] {
-            let p = branchy_program();
-            let reference = Simulator::new(&p, cfg.clone()).run();
-            let ff = Simulator::new(&p, cfg.clone().with_fast_forward()).run();
-            assert_eq!(ff.to_json(), reference.to_json(), "{cfg:?}");
-        }
-    }
-
-    #[test]
-    fn fast_forward_respects_the_cycle_limit() {
-        // Park the machine in an infinite quiescent wait (a load that
-        // never resolves is impossible here, so use a cycle limit tight
-        // enough to land inside a quiescent span instead).
-        let p = mul_chain_program();
-        let mut cfg = SimConfig::baseline();
-        cfg.max_cycles = 40;
-        let reference = Simulator::new(&p, cfg.clone()).run();
-        assert!(reference.hit_cycle_limit);
-        let ff = Simulator::new(&p, cfg.clone().with_fast_forward()).run();
-        assert_eq!(ff.to_json(), reference.to_json());
     }
 }

@@ -7,6 +7,8 @@
 //! (§5.2), functional unit utilization (§5.3.3), and window occupancy
 //! (§5.3.2).
 
+use crate::json;
+
 /// Per-functional-unit-class busy accounting.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FuBusy {
@@ -376,57 +378,64 @@ impl SimStats {
     /// cache entry written by a different stats schema fails to load
     /// (and the cell reruns) instead of resurrecting half a result.
     pub fn from_json(text: &str) -> Result<SimStats, String> {
-        let mut p = JsonCursor::new(text);
+        let root = json::parse(text).map_err(|e| e.to_string())?;
+        let members = root.as_object().ok_or("SimStats JSON is not an object")?;
         let mut s = SimStats::default();
-        let mut seen: Vec<String> = Vec::new();
-        p.expect('{')?;
-        loop {
-            let key = p.key()?;
-            if seen.contains(&key) {
-                return Err(format!("duplicate SimStats field {key:?}"));
-            }
+        for (key, v) in members {
+            let u = || {
+                v.as_u64()
+                    .ok_or_else(|| format!("SimStats field {key:?} is not an unsigned integer"))
+            };
             match key.as_str() {
-                "cycles" => s.cycles = p.u64()?,
-                "hit_cycle_limit" => s.hit_cycle_limit = p.bool()?,
-                "fetched_instructions" => s.fetched_instructions = p.u64()?,
-                "dispatched_instructions" => s.dispatched_instructions = p.u64()?,
-                "committed_instructions" => s.committed_instructions = p.u64()?,
-                "killed_instructions" => s.killed_instructions = p.u64()?,
-                "committed_branches" => s.committed_branches = p.u64()?,
-                "mispredicted_branches" => s.mispredicted_branches = p.u64()?,
-                "mispredicted_returns" => s.mispredicted_returns = p.u64()?,
-                "recoveries" => s.recoveries = p.u64()?,
-                "divergences" => s.divergences = p.u64()?,
-                "low_conf_incorrect" => s.low_conf_incorrect = p.u64()?,
-                "low_conf_correct" => s.low_conf_correct = p.u64()?,
-                "high_conf_incorrect" => s.high_conf_incorrect = p.u64()?,
-                "high_conf_correct" => s.high_conf_correct = p.u64()?,
-                "path_cycles" => s.path_cycles = p.u64_array()?,
-                "max_live_paths" => s.max_live_paths = p.u64()? as usize,
-                "window_occupancy_sum" => s.window_occupancy_sum = p.u64()?,
-                "fu_int0" => s.fu_int0 = p.fu_busy()?,
-                "fu_int1" => s.fu_int1 = p.fu_busy()?,
-                "fu_fp_add" => s.fu_fp_add = p.fu_busy()?,
-                "fu_fp_mul" => s.fu_fp_mul = p.fu_busy()?,
-                "fu_mem" => s.fu_mem = p.fu_busy()?,
-                "fetch_stall_no_path" => s.fetch_stall_no_path = p.u64()?,
-                "fetch_stall_no_ctx" => s.fetch_stall_no_ctx = p.u64()?,
-                "dispatch_stall_window_full" => s.dispatch_stall_window_full = p.u64()?,
-                "dcache_hits" => s.dcache_hits = p.u64()?,
-                "dcache_misses" => s.dcache_misses = p.u64()?,
+                "cycles" => s.cycles = u()?,
+                "hit_cycle_limit" => {
+                    s.hit_cycle_limit = v
+                        .as_bool()
+                        .ok_or("SimStats field \"hit_cycle_limit\" is not a boolean")?;
+                }
+                "fetched_instructions" => s.fetched_instructions = u()?,
+                "dispatched_instructions" => s.dispatched_instructions = u()?,
+                "committed_instructions" => s.committed_instructions = u()?,
+                "killed_instructions" => s.killed_instructions = u()?,
+                "committed_branches" => s.committed_branches = u()?,
+                "mispredicted_branches" => s.mispredicted_branches = u()?,
+                "mispredicted_returns" => s.mispredicted_returns = u()?,
+                "recoveries" => s.recoveries = u()?,
+                "divergences" => s.divergences = u()?,
+                "low_conf_incorrect" => s.low_conf_incorrect = u()?,
+                "low_conf_correct" => s.low_conf_correct = u()?,
+                "high_conf_incorrect" => s.high_conf_incorrect = u()?,
+                "high_conf_correct" => s.high_conf_correct = u()?,
+                "path_cycles" => {
+                    s.path_cycles = v
+                        .as_array()
+                        .and_then(|a| a.iter().map(json::Value::as_u64).collect())
+                        .ok_or("SimStats field \"path_cycles\" is not an unsigned-integer array")?;
+                }
+                "max_live_paths" => {
+                    s.max_live_paths = usize::try_from(u()?).map_err(|e| e.to_string())?;
+                }
+                "window_occupancy_sum" => s.window_occupancy_sum = u()?,
+                "fu_int0" => s.fu_int0 = fu_busy(v)?,
+                "fu_int1" => s.fu_int1 = fu_busy(v)?,
+                "fu_fp_add" => s.fu_fp_add = fu_busy(v)?,
+                "fu_fp_mul" => s.fu_fp_mul = fu_busy(v)?,
+                "fu_mem" => s.fu_mem = fu_busy(v)?,
+                "fetch_stall_no_path" => s.fetch_stall_no_path = u()?,
+                "fetch_stall_no_ctx" => s.fetch_stall_no_ctx = u()?,
+                "dispatch_stall_window_full" => s.dispatch_stall_window_full = u()?,
+                "dcache_hits" => s.dcache_hits = u()?,
+                "dcache_misses" => s.dcache_misses = u()?,
                 other => return Err(format!("unknown SimStats field {other:?}")),
             }
-            seen.push(key);
-            if !p.more_pairs()? {
-                break;
-            }
         }
-        p.end()?;
-        if seen.len() != 28 {
+        // The reader already refused duplicate keys, and every key is
+        // known, so a short count means a missing field.
+        if members.len() != 28 {
+            let seen: Vec<&str> = members.iter().map(|(k, _)| k.as_str()).collect();
             return Err(format!(
-                "expected 28 SimStats fields, found {} ({:?})",
-                seen.len(),
-                seen
+                "expected 28 SimStats fields, found {} ({seen:?})",
+                members.len()
             ));
         }
         Ok(s)
@@ -434,201 +443,32 @@ impl SimStats {
 
     /// Record a cycle with `live` paths.
     pub fn record_path_count(&mut self, live: usize) {
-        self.record_path_count_many(live, 1);
-    }
-
-    /// Record `cycles` consecutive cycles with `live` paths — the bulk
-    /// form the fast-forward path uses to charge a skipped quiescent span
-    /// in one step (identical totals to calling
-    /// [`record_path_count`](Self::record_path_count) `cycles` times).
-    pub fn record_path_count_many(&mut self, live: usize, cycles: u64) {
-        if cycles == 0 {
-            return;
-        }
         if self.path_cycles.len() <= live {
             self.path_cycles.resize(live + 1, 0);
         }
-        self.path_cycles[live] += cycles;
+        self.path_cycles[live] += 1;
         self.max_live_paths = self.max_live_paths.max(live);
     }
 }
 
-/// Minimal strict cursor over the JSON subset [`SimStats::to_json`]
-/// emits: objects, `u64` numbers, booleans, and flat `u64` arrays.
-/// Whitespace-insensitive, otherwise unforgiving — parse errors carry
-/// the byte offset.
-struct JsonCursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> JsonCursor<'a> {
-    fn new(text: &'a str) -> Self {
-        JsonCursor {
-            bytes: text.as_bytes(),
-            pos: 0,
-        }
+/// A [`FuBusy`] object: exactly `busy_cycles` and `capacity_cycles`.
+fn fu_busy(v: &json::Value) -> Result<FuBusy, String> {
+    let members = v.as_object().ok_or("FuBusy is not an object")?;
+    if let Some((other, _)) = members
+        .iter()
+        .find(|(k, _)| k != "busy_cycles" && k != "capacity_cycles")
+    {
+        return Err(format!("unknown FuBusy field {other:?}"));
     }
-
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(u8::is_ascii_whitespace)
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, c: char) -> Result<(), String> {
-        match self.peek() {
-            Some(b) if b == c as u8 => {
-                self.pos += 1;
-                Ok(())
-            }
-            other => Err(format!(
-                "expected {c:?} at byte {}, found {:?}",
-                self.pos,
-                other.map(|b| b as char)
-            )),
-        }
-    }
-
-    /// A `"key":` pair opener; returns the key.
-    fn key(&mut self) -> Result<String, String> {
-        self.expect('"')?;
-        let start = self.pos;
-        while self.bytes.get(self.pos).is_some_and(|&b| b != b'"') {
-            self.pos += 1;
-        }
-        let key = String::from_utf8_lossy(&self.bytes[start..self.pos]).into_owned();
-        self.expect('"')?;
-        self.expect(':')?;
-        Ok(key)
-    }
-
-    fn u64(&mut self) -> Result<u64, String> {
-        self.skip_ws();
-        let start = self.pos;
-        while self.bytes.get(self.pos).is_some_and(u8::is_ascii_digit) {
-            self.pos += 1;
-        }
-        if start == self.pos {
-            return Err(format!("expected a number at byte {start}"));
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|e| e.to_string())?
-            .parse()
-            .map_err(|e| format!("bad number at byte {start}: {e}"))
-    }
-
-    fn bool(&mut self) -> Result<bool, String> {
-        self.skip_ws();
-        if self.bytes[self.pos..].starts_with(b"true") {
-            self.pos += 4;
-            Ok(true)
-        } else if self.bytes[self.pos..].starts_with(b"false") {
-            self.pos += 5;
-            Ok(false)
-        } else {
-            Err(format!("expected a boolean at byte {}", self.pos))
-        }
-    }
-
-    fn u64_array(&mut self) -> Result<Vec<u64>, String> {
-        self.expect('[')?;
-        let mut out = Vec::new();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(out);
-        }
-        loop {
-            out.push(self.u64()?);
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                other => {
-                    return Err(format!(
-                        "expected ',' or ']' at byte {}, found {:?}",
-                        self.pos,
-                        other.map(|b| b as char)
-                    ))
-                }
-            }
-        }
-    }
-
-    fn fu_busy(&mut self) -> Result<FuBusy, String> {
-        self.expect('{')?;
-        let mut busy = None;
-        let mut capacity = None;
-        loop {
-            let key = self.key()?;
-            match key.as_str() {
-                "busy_cycles" => busy = Some(self.u64()?),
-                "capacity_cycles" => capacity = Some(self.u64()?),
-                other => return Err(format!("unknown FuBusy field {other:?}")),
-            }
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    break;
-                }
-                other => {
-                    return Err(format!(
-                        "expected ',' or '}}' at byte {}, found {:?}",
-                        self.pos,
-                        other.map(|b| b as char)
-                    ))
-                }
-            }
-        }
-        match (busy, capacity) {
-            (Some(busy_cycles), Some(capacity_cycles)) => Ok(FuBusy {
-                busy_cycles,
-                capacity_cycles,
-            }),
-            _ => Err("FuBusy missing busy_cycles or capacity_cycles".to_string()),
-        }
-    }
-
-    /// After a value: `,` means another pair follows, `}` closes the
-    /// object.
-    fn more_pairs(&mut self) -> Result<bool, String> {
-        match self.peek() {
-            Some(b',') => {
-                self.pos += 1;
-                Ok(true)
-            }
-            Some(b'}') => {
-                self.pos += 1;
-                Ok(false)
-            }
-            other => Err(format!(
-                "expected ',' or '}}' at byte {}, found {:?}",
-                self.pos,
-                other.map(|b| b as char)
-            )),
-        }
-    }
-
-    /// Nothing but whitespace may remain.
-    fn end(&mut self) -> Result<(), String> {
-        self.skip_ws();
-        if self.pos == self.bytes.len() {
-            Ok(())
-        } else {
-            Err(format!("trailing content at byte {}", self.pos))
-        }
+    match (
+        v.get("busy_cycles").and_then(json::Value::as_u64),
+        v.get("capacity_cycles").and_then(json::Value::as_u64),
+    ) {
+        (Some(busy_cycles), Some(capacity_cycles)) => Ok(FuBusy {
+            busy_cycles,
+            capacity_cycles,
+        }),
+        _ => Err("FuBusy missing busy_cycles or capacity_cycles".to_string()),
     }
 }
 

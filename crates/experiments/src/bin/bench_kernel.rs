@@ -1,4 +1,4 @@
-//! Kernel throughput benchmark: simulated KIPS over the `run_all`
+//! Kernel throughput benchmark: simulated KIPS over the `sweep run all`
 //! workload set, exported as `BENCH_kernel.json`.
 //!
 //! ```sh
@@ -21,7 +21,8 @@
 //! before an optimization, re-run with `--baseline` after it.
 //!
 //! `--validate PATH` runs no benchmark: it parses `PATH` with the
-//! built-in (dependency-free) JSON parser, checks the trajectory shape,
+//! workspace's strict JSON reader ([`pp_core::json`]), checks the
+//! trajectory shape,
 //! and exits nonzero if the file is malformed — the CI smoke that an
 //! append never corrupts the committed history.
 //!
@@ -43,11 +44,6 @@
 //! information and are skipped rather than allowed to win the min; a
 //! pair with no valid sample reports `null` for `wall_s`/`kips`.
 //!
-//! `--fast-forward` enables quiescent-cycle elision in the timing runs
-//! (recorded as `"fast_forward"` in the entry, so captures are only
-//! compared like-for-like); the attribution run stays un-elided — the
-//! phase timers observe every cycle by design.
-//!
 //! `--fetch-policy TOKEN` overrides the fetch-arbitration policy for
 //! every benchmarked configuration, taking the canonical tokens from
 //! the [`pp_core::Policy`] table (e.g. `variable_rate`); the token in
@@ -64,7 +60,7 @@ use pp_experiments::experiments::BASELINE_HISTORY_BITS;
 use pp_experiments::{named_config, scale_factor, scaled, Config};
 use pp_workloads::Workload;
 
-use pp_core::Simulator;
+use pp_core::{json, Simulator};
 
 /// The configurations benchmarked, in order. Monopath exercises the
 /// single-path fast path, SEE/JRS the divergence machinery, dual-path
@@ -72,8 +68,8 @@ use pp_core::Simulator;
 const BENCH_CONFIGS: [Config; 3] = [Config::Monopath, Config::SeeJrs, Config::DualJrs];
 
 struct RunReport {
-    workload: Workload,
-    config: Config,
+    workload: &'static str,
+    config: &'static str,
     committed: u64,
     cycles: u64,
     /// Minimum wall time over the repeat runs, counting only samples
@@ -84,21 +80,13 @@ struct RunReport {
     phases: Vec<(&'static str, f64)>,
 }
 
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
 fn run_one(
     w: Workload,
     c: Config,
     repeat: usize,
-    fast_forward: bool,
     fetch_policy: Option<pp_core::FetchPolicy>,
 ) -> RunReport {
     let mut cfg = named_config(c, BASELINE_HISTORY_BITS);
-    if fast_forward {
-        cfg = cfg.with_fast_forward();
-    }
     if let Some(fp) = fetch_policy {
         cfg = cfg.with_fetch_policy(fp);
     }
@@ -138,8 +126,8 @@ fn run_one(
     let host = prof_sim.host_profile().expect("profiling enabled").clone();
 
     RunReport {
-        workload: w,
-        config: c,
+        workload: w.name(),
+        config: c.label(),
         committed: stats.committed_instructions,
         cycles: stats.cycles,
         wall_s: wall.map(|w| w.as_secs_f64()),
@@ -157,7 +145,6 @@ fn main() {
     let mut baseline: Option<String> = None;
     let mut repeat = 1usize;
     let mut validate: Option<String> = None;
-    let mut fast_forward = false;
     let mut fetch_policy: Option<pp_core::FetchPolicy> = None;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
@@ -171,14 +158,13 @@ fn main() {
                 }
             }
             "--validate" => validate = Some(cli::require_value(&mut args, "--validate", "a path")),
-            "--fast-forward" => fast_forward = true,
             "--fetch-policy" => {
                 let raw = cli::require_value(&mut args, "--fetch-policy", "a policy token");
                 fetch_policy = Some(cli::parse_policy("--fetch-policy", &raw));
             }
             other => cli::usage_error(format_args!(
                 "unknown argument {other:?} (expected --out, --baseline, --repeat, \
-                 --fast-forward, --fetch-policy, or --validate)"
+                 --fetch-policy, or --validate)"
             )),
         }
     }
@@ -201,7 +187,7 @@ fn main() {
     let mut total_wall = 0.0f64;
     for w in Workload::ALL {
         for c in BENCH_CONFIGS {
-            let r = run_one(w, c, repeat, fast_forward, fetch_policy);
+            let r = run_one(w, c, repeat, fetch_policy);
             match (r.kips, r.wall_s) {
                 (Some(kips), Some(wall_s)) => {
                     println!(
@@ -247,7 +233,6 @@ fn main() {
     );
     let _ = writeln!(j, "  \"scale_factor\": {},", scale_factor());
     let _ = writeln!(j, "  \"timing_runs_min_of\": {repeat},");
-    let _ = writeln!(j, "  \"fast_forward\": {fast_forward},");
     // The canonical token when overridden, JSON null when each config
     // keeps its own default — so like-for-like comparison is checkable.
     let fp_token = fetch_policy.map_or("null".to_string(), |fp| {
@@ -258,27 +243,8 @@ fn main() {
     let _ = writeln!(j, "  \"history_bits\": {BASELINE_HISTORY_BITS},");
     let _ = writeln!(j, "  \"runs\": [");
     for (i, r) in runs.iter().enumerate() {
-        let phases: Vec<String> = r
-            .phases
-            .iter()
-            .map(|(n, s)| format!("\"{n}\": {s:.6}"))
-            .collect();
-        // Untimeable runs carry JSON null for wall_s/kips; consumers
-        // skip those samples.
-        let wall_s = r.wall_s.map_or("null".to_string(), |v| format!("{v:.6}"));
-        let kips = r.kips.map_or("null".to_string(), |v| format!("{v:.1}"));
-        let _ = writeln!(
-            j,
-            "    {{\"workload\": \"{}\", \"config\": \"{}\", \"committed\": {}, \"cycles\": {}, \"wall_s\": {}, \"kips\": {}, \"phases_s\": {{{}}}}}{}",
-            r.workload.name(),
-            json_escape(r.config.label()),
-            r.committed,
-            r.cycles,
-            wall_s,
-            kips,
-            phases.join(", "),
-            if i + 1 < runs.len() { "," } else { "" }
-        );
+        let sep = if i + 1 < runs.len() { "," } else { "" };
+        let _ = writeln!(j, "    {}{sep}", run_json(r));
     }
     let _ = writeln!(j, "  ],");
     let agg = aggregate_kips.map_or("null".to_string(), |v| format!("{v:.1}"));
@@ -314,6 +280,28 @@ fn main() {
     }
     std::fs::write(&out, text).unwrap_or_else(|e| cli::fail(format_args!("writing {out}: {e}")));
     println!("{} {out}", if appended { "appended to" } else { "wrote" });
+}
+
+/// One `"runs"` element. Untimeable runs carry JSON null for
+/// `wall_s`/`kips`; consumers skip those samples.
+fn run_json(r: &RunReport) -> String {
+    let phases: Vec<String> = r
+        .phases
+        .iter()
+        .map(|(n, s)| format!("\"{n}\": {s:.6}"))
+        .collect();
+    let wall_s = r.wall_s.map_or("null".to_string(), |v| format!("{v:.6}"));
+    let kips = r.kips.map_or("null".to_string(), |v| format!("{v:.1}"));
+    format!(
+        "{{\"workload\": \"{}\", \"config\": \"{}\", \"committed\": {}, \"cycles\": {}, \"wall_s\": {}, \"kips\": {}, \"phases_s\": {{{}}}}}",
+        json::escape(r.workload),
+        json::escape(r.config),
+        r.committed,
+        r.cycles,
+        wall_s,
+        kips,
+        phases.join(", "),
+    )
 }
 
 /// Opening of a trajectory file, up to (and including) the start of the
@@ -353,249 +341,53 @@ fn append_trajectory(existing: Option<String>, entry: &str) -> String {
 /// report objects, each with a `"runs"` array) or a legacy single
 /// report. Returns a one-line summary.
 fn validate_report(text: &str) -> Result<String, String> {
-    let root = json::parse(text)?;
-    let obj = root.as_object().ok_or("top level is not an object")?;
-    if let Some(traj) = json::get(obj, "trajectory") {
+    let root = json::parse(text).map_err(|e| e.to_string())?;
+    if root.as_object().is_none() {
+        return Err("top level is not an object".into());
+    }
+    let runs_of = |e: &json::Value| {
+        e.get("runs")
+            .and_then(json::Value::as_array)
+            .map(<[_]>::len)
+    };
+    if let Some(traj) = root.get("trajectory") {
         let entries = traj.as_array().ok_or("\"trajectory\" is not an array")?;
         if entries.is_empty() {
             return Err("\"trajectory\" is empty".into());
         }
         for (i, e) in entries.iter().enumerate() {
-            let eo = e
-                .as_object()
-                .ok_or_else(|| format!("trajectory[{i}] is not an object"))?;
-            let runs = json::get(eo, "runs")
-                .and_then(json::Value::as_array)
-                .ok_or_else(|| format!("trajectory[{i}] has no \"runs\" array"))?;
-            if runs.is_empty() {
-                return Err(format!("trajectory[{i}] has zero runs"));
+            if e.as_object().is_none() {
+                return Err(format!("trajectory[{i}] is not an object"));
+            }
+            match runs_of(e) {
+                None => return Err(format!("trajectory[{i}] has no \"runs\" array")),
+                Some(0) => return Err(format!("trajectory[{i}] has zero runs")),
+                Some(_) => {}
             }
         }
         Ok(format!(
             "trajectory of {} report(s), latest with {} runs",
             entries.len(),
-            json::get(
-                entries.last().and_then(json::Value::as_object).unwrap(),
-                "runs"
-            )
-            .and_then(json::Value::as_array)
-            .map_or(0, Vec::len),
+            entries.last().and_then(runs_of).unwrap_or(0),
         ))
     } else {
-        let runs = json::get(obj, "runs")
-            .and_then(json::Value::as_array)
-            .ok_or("neither \"trajectory\" nor \"runs\" present")?;
-        if runs.is_empty() {
-            return Err("legacy report has zero runs".into());
+        match runs_of(&root) {
+            None => Err("neither \"trajectory\" nor \"runs\" present".into()),
+            Some(0) => Err("legacy report has zero runs".into()),
+            Some(n) => Ok(format!("legacy single report with {n} runs")),
         }
-        Ok(format!("legacy single report with {} runs", runs.len()))
     }
 }
 
-/// Pull `"kips": <x>` out of the **last** `"aggregate"` object in a
-/// previous report — in a trajectory file that is the newest capture
-/// (dependency-free scan; the format is our own).
+/// `aggregate.kips` of the newest capture: the last trajectory entry,
+/// or the report itself in a legacy single-report file.
 fn extract_aggregate_kips(text: &str) -> Option<f64> {
-    let agg = &text[text.rfind("\"aggregate\"")?..];
-    let kips = agg.split("\"kips\":").nth(1)?;
-    let end = kips.find(['}', ','])?;
-    kips[..end].trim().parse().ok()
-}
-
-/// A minimal recursive-descent JSON parser — just enough to validate
-/// the benchmark trajectory without a serialization dependency. Accepts
-/// standard JSON; numbers are kept as `f64`.
-mod json {
-    /// A parsed JSON value.
-    #[derive(Debug, Clone, PartialEq)]
-    pub enum Value {
-        Null,
-        Bool(bool),
-        Num(f64),
-        Str(String),
-        Array(Vec<Value>),
-        Object(Vec<(String, Value)>),
-    }
-
-    impl Value {
-        pub fn as_array(&self) -> Option<&Vec<Value>> {
-            match self {
-                Value::Array(a) => Some(a),
-                _ => None,
-            }
-        }
-        pub fn as_object(&self) -> Option<&Vec<(String, Value)>> {
-            match self {
-                Value::Object(o) => Some(o),
-                _ => None,
-            }
-        }
-    }
-
-    /// First value bound to `key` in an object's entry list.
-    pub fn get<'a>(obj: &'a [(String, Value)], key: &str) -> Option<&'a Value> {
-        obj.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-    }
-
-    /// Parse `text` as a single JSON document.
-    pub fn parse(text: &str) -> Result<Value, String> {
-        let b = text.as_bytes();
-        let mut pos = 0;
-        let v = value(b, &mut pos)?;
-        skip_ws(b, &mut pos);
-        if pos != b.len() {
-            return Err(format!("trailing data at byte {pos}"));
-        }
-        Ok(v)
-    }
-
-    fn skip_ws(b: &[u8], pos: &mut usize) {
-        while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-            *pos += 1;
-        }
-    }
-
-    fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
-        if *pos < b.len() && b[*pos] == c {
-            *pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected {:?} at byte {pos}", c as char))
-        }
-    }
-
-    fn value(b: &[u8], pos: &mut usize) -> Result<Value, String> {
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b'{') => object(b, pos),
-            Some(b'[') => array(b, pos),
-            Some(b'"') => Ok(Value::Str(string(b, pos)?)),
-            Some(b't') => literal(b, pos, "true", Value::Bool(true)),
-            Some(b'f') => literal(b, pos, "false", Value::Bool(false)),
-            Some(b'n') => literal(b, pos, "null", Value::Null),
-            Some(_) => number(b, pos),
-            None => Err("unexpected end of input".into()),
-        }
-    }
-
-    fn literal(b: &[u8], pos: &mut usize, lit: &str, v: Value) -> Result<Value, String> {
-        if b[*pos..].starts_with(lit.as_bytes()) {
-            *pos += lit.len();
-            Ok(v)
-        } else {
-            Err(format!("bad literal at byte {pos}"))
-        }
-    }
-
-    fn number(b: &[u8], pos: &mut usize) -> Result<Value, String> {
-        let start = *pos;
-        while *pos < b.len() && matches!(b[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E') {
-            *pos += 1;
-        }
-        std::str::from_utf8(&b[start..*pos])
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .map(Value::Num)
-            .ok_or_else(|| format!("bad number at byte {start}"))
-    }
-
-    fn string(b: &[u8], pos: &mut usize) -> Result<String, String> {
-        expect(b, pos, b'"')?;
-        let mut out = Vec::new();
-        while *pos < b.len() {
-            match b[*pos] {
-                b'"' => {
-                    *pos += 1;
-                    return String::from_utf8(out).map_err(|_| "bad UTF-8 in string".into());
-                }
-                b'\\' => {
-                    *pos += 1;
-                    match b.get(*pos) {
-                        Some(b'u') => {
-                            // Validate the four hex digits; decode as a
-                            // replacement-free escape (the trajectory
-                            // never emits non-BMP escapes).
-                            let hex = b.get(*pos + 1..*pos + 5).ok_or("truncated \\u escape")?;
-                            let cp = std::str::from_utf8(hex)
-                                .ok()
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .ok_or("bad \\u escape")?;
-                            out.extend(
-                                char::from_u32(cp)
-                                    .unwrap_or('\u{fffd}')
-                                    .to_string()
-                                    .as_bytes(),
-                            );
-                            *pos += 5;
-                        }
-                        Some(&c) => {
-                            out.push(match c {
-                                b'n' => b'\n',
-                                b't' => b'\t',
-                                b'r' => b'\r',
-                                other => other,
-                            });
-                            *pos += 1;
-                        }
-                        None => return Err("truncated escape".into()),
-                    }
-                }
-                c => {
-                    out.push(c);
-                    *pos += 1;
-                }
-            }
-        }
-        Err("unterminated string".into())
-    }
-
-    fn array(b: &[u8], pos: &mut usize) -> Result<Value, String> {
-        expect(b, pos, b'[')?;
-        let mut items = Vec::new();
-        skip_ws(b, pos);
-        if b.get(*pos) == Some(&b']') {
-            *pos += 1;
-            return Ok(Value::Array(items));
-        }
-        loop {
-            items.push(value(b, pos)?);
-            skip_ws(b, pos);
-            match b.get(*pos) {
-                Some(b',') => *pos += 1,
-                Some(b']') => {
-                    *pos += 1;
-                    return Ok(Value::Array(items));
-                }
-                _ => return Err(format!("expected ',' or ']' at byte {pos}")),
-            }
-        }
-    }
-
-    fn object(b: &[u8], pos: &mut usize) -> Result<Value, String> {
-        expect(b, pos, b'{')?;
-        let mut entries = Vec::new();
-        skip_ws(b, pos);
-        if b.get(*pos) == Some(&b'}') {
-            *pos += 1;
-            return Ok(Value::Object(entries));
-        }
-        loop {
-            skip_ws(b, pos);
-            let k = string(b, pos)?;
-            skip_ws(b, pos);
-            expect(b, pos, b':')?;
-            entries.push((k, value(b, pos)?));
-            skip_ws(b, pos);
-            match b.get(*pos) {
-                Some(b',') => *pos += 1,
-                Some(b'}') => {
-                    *pos += 1;
-                    return Ok(Value::Object(entries));
-                }
-                _ => return Err(format!("expected ',' or '}}' at byte {pos}")),
-            }
-        }
-    }
+    let root = json::parse(text).ok()?;
+    let latest = match root.get("trajectory") {
+        Some(traj) => traj.as_array()?.last()?,
+        None => &root,
+    };
+    latest.get("aggregate")?.get("kips")?.as_f64()
 }
 
 #[cfg(test)]
@@ -683,32 +475,39 @@ mod tests {
     /// upgrades into.
     fn trajectory_timestamps(text: &str) -> Vec<Option<f64>> {
         let root = json::parse(text).unwrap();
-        let obj = root.as_object().unwrap();
-        json::get(obj, "trajectory")
+        root.get("trajectory")
             .and_then(json::Value::as_array)
             .unwrap()
             .iter()
-            .map(
-                |e| match json::get(e.as_object().unwrap(), "timestamp_unix_s") {
-                    Some(&json::Value::Num(t)) => Some(t),
-                    None => None,
-                    other => panic!("non-numeric timestamp: {other:?}"),
-                },
-            )
+            .map(|e| {
+                e.get("timestamp_unix_s").map(|t| {
+                    t.as_f64()
+                        .unwrap_or_else(|| panic!("non-numeric timestamp: {t:?}"))
+                })
+            })
             .collect()
     }
 
     #[test]
-    fn json_parser_handles_the_grammar() {
-        let v = json::parse(" {\"a\": [1, -2.5e1, \"x\\\"y\\u0041\", true, null], \"b\": {}} ")
-            .unwrap();
-        let o = v.as_object().unwrap();
-        let a = json::get(o, "a").unwrap().as_array().unwrap();
-        assert_eq!(a.len(), 5);
-        assert_eq!(a[1], json::Value::Num(-25.0));
-        assert_eq!(a[2], json::Value::Str("x\"yA".into()));
-        assert!(json::get(o, "b").unwrap().as_object().unwrap().is_empty());
-        assert!(json::parse("{\"a\": 1,}").is_err());
-        assert!(json::parse("{} junk").is_err());
+    fn control_characters_in_a_label_keep_the_entry_valid() {
+        let r = RunReport {
+            workload: "compress",
+            config: "see\u{1}jrs\ttab\n\"q\"",
+            committed: 10,
+            cycles: 20,
+            wall_s: None,
+            kips: None,
+            phases: vec![("fetch", 0.5)],
+        };
+        let line = run_json(&r);
+        let entry = ENTRY.replace("{\"workload\": \"compress\", \"kips\": 5.0}", &line);
+        assert_ne!(entry, ENTRY);
+        let text = append_trajectory(None, &entry);
+        assert!(validate_report(&text).unwrap().contains("1 report(s)"));
+        let run = &json::parse(&line).unwrap();
+        assert_eq!(
+            run.get("config").and_then(json::Value::as_str),
+            Some(r.config)
+        );
     }
 }

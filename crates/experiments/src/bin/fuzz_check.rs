@@ -9,11 +9,9 @@
 //!
 //! Runs `N` seeded random programs (default 1000, seeds `S..S+N`).
 //! Every program is first validated to halt on the architectural
-//! emulator, then simulated under all three configurations, then run
-//! through each configuration's fast-forward differential pair
-//! (cycle-exact vs quiescent-cycle elision, final stats byte-compared);
-//! any oracle divergence, sanitizer violation, fast-forward divergence,
-//! starvation, or deadlock fails the run. The first failing case is minimized with delta debugging and
+//! emulator, then simulated under all three configurations; any oracle
+//! divergence, sanitizer violation, starvation, or deadlock fails the
+//! run. The first failing case is minimized with delta debugging and
 //! printed as a plan + disassembly listing that reproduces the failure,
 //! and the process exits 1. CI runs a 1k-seed smoke; the acceptance bar
 //! for simulator changes is a clean 10k run:

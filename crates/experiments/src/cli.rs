@@ -92,8 +92,8 @@ pub fn parse_policy<P: pp_core::Policy>(flag: &str, raw: &str) -> P {
 /// The flag set every sweep-driven binary shares:
 ///
 /// * `--workers N` — worker threads (default: one per core)
-/// * `--out-dir DIR` — artifact directory (default: none for the
-///   legacy per-figure binaries, `results` for `sweep` and `run_all`)
+/// * `--out-dir DIR` — artifact directory (default: none for
+///   `workload_profile`, `results` for `sweep`)
 /// * `--cache-dir DIR` — result cache root (default `results/cache`)
 /// * `--no-cache` — disable the result cache entirely
 /// * `--resume` — explicit alias for the default cache-on behavior,

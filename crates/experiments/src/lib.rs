@@ -8,29 +8,31 @@
 //! §3e), harmonic means, and text-table formatting.
 //!
 //! The front door is the `sweep` binary (`sweep list`, `sweep run
-//! fig9`, `sweep run all`). The historical per-figure binaries below
-//! remain as thin shims over the same registry and accept the same
-//! unified flags (`--workers`, `--out-dir`, `--cache-dir`, `--no-cache`,
-//! `--resume`, `--max-cells`, `--quiet`, `--telemetry-out`,
-//! `--telemetry-sample-every`).
+//! fig9`, `sweep run all`), which takes the unified flags (`--workers`,
+//! `--out-dir`, `--cache-dir`, `--no-cache`, `--resume`, `--max-cells`,
+//! `--quiet`, `--telemetry-out`, `--telemetry-sample-every`).
 //!
-//! Binaries (`cargo run --release -p pp-experiments --bin <name>`):
+//! Experiments (`cargo run --release -p pp-experiments --bin sweep --
+//! run <name>`):
 //!
-//! | binary | regenerates |
-//! |--------|-------------|
+//! | name | regenerates |
+//! |------|-------------|
 //! | `table1` | Table 1 — benchmark characteristics |
-//! | `fig8_baseline` | Fig. 8 — baseline IPC, all six configurations |
-//! | `sec51_analysis` | §5.1 — fetch ratios, useless instructions, PVN |
-//! | `sec52_dualpath` | §5.2 — dual-path fractions, path utilization |
-//! | `fig9_predictor_size` | Fig. 9 — IPC vs. predictor state |
-//! | `fig10_window_size` | Fig. 10 — IPC vs. window size |
-//! | `fig11_fu_config` | Fig. 11 — IPC vs. functional unit count |
-//! | `fig12_pipeline_depth` | Fig. 12 — IPC vs. pipeline depth |
+//! | `fig8` | Fig. 8 — baseline IPC, all six configurations |
+//! | `sec51` | §5.1 — fetch ratios, useless instructions, PVN |
+//! | `sec52` | §5.2 — dual-path fractions, path utilization |
+//! | `fig9` | Fig. 9 — IPC vs. predictor state |
+//! | `fig10` | Fig. 10 — IPC vs. window size |
+//! | `fig11` | Fig. 11 — IPC vs. functional unit count |
+//! | `fig12` | Fig. 12 — IPC vs. pipeline depth |
 //! | `ablations` | five extension studies (fetch policy, resolution timing, adaptive confidence, predictors, cache) |
 //! | `input_sensitivity` | Fig. 8 headline across three input data sets |
 //! | `workload_profile` | per-workload hot-loop profiles |
 //! | `calibrate` | workload calibration table |
-//! | `run_all` | everything above, written as text + CSV |
+//! | `all` | every registered experiment, written as text + CSV |
+//!
+//! The `workload_profile` binary additionally prints one workload's
+//! annotated listing (`workload_profile go`).
 //!
 //! Every binary honours `PP_SCALE` (a float multiplier on workload scale,
 //! default 1.0) so quick runs and full runs use the same code path.

@@ -8,8 +8,7 @@
 //! §5.2 all use the same 48-cell matrix) pay for them once.
 //!
 //! The `sweep` binary exposes this registry as subcommands
-//! (`sweep run fig9`); the historical per-figure binaries are thin
-//! shims over [`shim_main`].
+//! (`sweep run fig9`, `sweep run all`).
 
 use std::fmt::Write as _;
 
@@ -135,7 +134,7 @@ fn sweep_chart(points: &[SweepPoint]) -> Chart {
     chart
 }
 
-/// The CSV artifact format `run_all` always wrote for the sweeps.
+/// The CSV artifact format `sweep run all` always wrote for the sweeps.
 fn sweep_csv(points: &[SweepPoint], x_name: &str) -> String {
     let mut t = Table::new(
         std::iter::once(x_name.to_string())
@@ -219,7 +218,7 @@ impl Experiment for Table1Exp {
         let _ = writeln!(out, "{t}");
         let _ = writeln!(out, "mean misprediction rate: {:.2}%", 100.0 * mean);
 
-        // The CSV artifact keeps `run_all`'s historical full-precision
+        // The CSV artifact keeps `sweep run all`'s historical full-precision
         // column set.
         let mut csv = Table::new([
             "benchmark",
@@ -485,7 +484,7 @@ impl Experiment for Sec52Exp {
         let _ = writeln!(csv, "mean_paths_see,{:.4}", s.mean_paths_see);
         let _ = writeln!(csv, "paths_le3_see,{:.4}", s.paths_le3_see);
 
-        // Path histogram of the SEE runs — `run_all`'s bonus artifact.
+        // Path histogram of the SEE runs — `sweep run all`'s bonus artifact.
         let mut hist = Table::new(["benchmark", "paths", "cycles"]);
         for (wi, w) in Workload::ALL.iter().enumerate() {
             for (k, c) in data.cells[wi][see].path_cycles.iter().enumerate() {
@@ -1860,19 +1859,6 @@ pub fn run_all(opts: &SweepOpts) -> Result<(), String> {
             failed.len(),
             failed.join(", ")
         ))
-    }
-}
-
-/// `main` of a legacy single-experiment binary: parse the unified
-/// flags, run the named experiment, exit 0/1/2.
-pub fn shim_main(name: &str) -> ! {
-    let (opts, positional) = SweepOpts::from_env();
-    if let Some(extra) = positional.first() {
-        crate::cli::usage_error(format_args!("unexpected argument {extra:?}"));
-    }
-    match run_by_name(name, &opts) {
-        Ok(()) => std::process::exit(0),
-        Err(msg) => crate::cli::fail(msg),
     }
 }
 

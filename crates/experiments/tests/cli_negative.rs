@@ -75,16 +75,19 @@ fn fuzz_check_rejects_negative_seed() {
 }
 
 #[test]
-fn run_all_rejects_dangling_telemetry_flag() {
-    let out = run(env!("CARGO_BIN_EXE_run_all"), &["--telemetry-out"]);
+fn sweep_run_all_rejects_dangling_telemetry_flag() {
+    let out = run(
+        env!("CARGO_BIN_EXE_sweep"),
+        &["run", "all", "--telemetry-out"],
+    );
     assert_usage_error(&out, &["--telemetry-out needs a directory"]);
 }
 
 #[test]
-fn run_all_rejects_bad_sample_interval() {
+fn sweep_run_all_rejects_bad_sample_interval() {
     let out = run(
-        env!("CARGO_BIN_EXE_run_all"),
-        &["--telemetry-sample-every=sometimes"],
+        env!("CARGO_BIN_EXE_sweep"),
+        &["run", "all", "--telemetry-sample-every=sometimes"],
     );
     assert_usage_error(&out, &["--telemetry-sample-every", "\"sometimes\""]);
 }
@@ -149,12 +152,11 @@ fn sweep_rejects_dangling_telemetry_out() {
 }
 
 #[test]
-fn fig_shims_reject_unknown_flags_and_positionals() {
-    // Every migrated figure binary shares SweepOpts; spot-check two.
-    let out = run(env!("CARGO_BIN_EXE_fig9_predictor_size"), &["--frobnicate"]);
+fn sweep_run_rejects_unknown_flags_and_stray_names() {
+    let out = run(env!("CARGO_BIN_EXE_sweep"), &["run", "all", "--frobnicate"]);
     assert_usage_error(&out, &["unknown argument", "--frobnicate"]);
-    let out = run(env!("CARGO_BIN_EXE_table1"), &["extra"]);
-    assert_usage_error(&out, &["unexpected argument", "extra"]);
+    let out = run(env!("CARGO_BIN_EXE_sweep"), &["run", "table1", "extra"]);
+    assert_usage_error(&out, &["unknown experiment", "extra"]);
 }
 
 #[test]
@@ -164,13 +166,4 @@ fn workload_profile_rejects_unknown_workload() {
     assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
     assert!(stderr.contains("unknown workload `pascal`"), "{stderr}");
     assert!(stderr.contains("compress"), "{stderr}");
-}
-
-#[test]
-fn run_all_rejects_conflicting_out_dirs() {
-    let out = run(
-        env!("CARGO_BIN_EXE_run_all"),
-        &["somewhere", "--out-dir", "elsewhere"],
-    );
-    assert_usage_error(&out, &["both positionally and via --out-dir"]);
 }

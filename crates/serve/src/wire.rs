@@ -4,9 +4,9 @@
 //! This module is pure data — no sockets, no clocks — so every frame
 //! round-trips in unit tests without a connection. The grammar is
 //! deliberately flat: every value is a string, an unsigned integer, or
-//! a boolean, which keeps the hand-rolled parser small and makes
-//! truncation/garbage detection trivial (anything that does not parse
-//! is a protocol fault, never a partial success). List-valued fields
+//! a boolean. Frames are read with the workspace's strict JSON reader
+//! ([`pp_core::json`]), so truncation, garbage and duplicate keys are
+//! protocol faults, never a partial success. List-valued fields
 //! (the experiment names in `welcome`) are comma-joined strings —
 //! registry names are identifiers and cannot contain commas.
 //!
@@ -20,6 +20,8 @@
 //! a hostile or broken peer cannot balloon the session's memory.
 
 use std::fmt::Write as _;
+
+use pp_core::json::{self, escape, Value};
 
 /// Wire protocol revision. Bumped on any frame-grammar change; the
 /// `hello`/`welcome` handshake rejects a mismatch before any work is
@@ -216,7 +218,7 @@ impl Request {
 
     /// Decode one frame (the line terminator may be present or not).
     pub fn from_line(line: &str) -> Result<Self, WireError> {
-        let f = Flat::parse(line)?;
+        let f = Frame::parse(line)?;
         match f.str("type")? {
             "hello" => Ok(Request::Hello {
                 client: f.str("client")?.to_string(),
@@ -312,7 +314,7 @@ impl Reply {
 
     /// Decode one frame (the line terminator may be present or not).
     pub fn from_line(line: &str) -> Result<Self, WireError> {
-        let f = Flat::parse(line)?;
+        let f = Frame::parse(line)?;
         match f.str("type")? {
             "welcome" => Ok(Reply::Welcome {
                 proto: f.u64("proto")?,
@@ -386,206 +388,50 @@ fn close(mut o: String) -> String {
     o
 }
 
-/// Escape a string for embedding in a JSON string literal. Control
-/// characters use `\u` escapes so a frame can carry multi-line panic
-/// messages and stats JSON without breaking the line framing.
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 // ----------------------------------------------------------------------
-// Flat-JSON parsing
+// Frame parsing
 // ----------------------------------------------------------------------
 
-/// One parsed flat object: string/u64/bool values only.
-struct Flat {
-    fields: Vec<(String, FlatValue)>,
-}
+/// One parsed frame: a JSON object read by [`pp_core::json`], with
+/// typed field access.
+struct Frame(Value);
 
-enum FlatValue {
-    Str(String),
-    U64(u64),
-    Bool(bool),
-}
-
-impl Flat {
-    fn parse(line: &str) -> Result<Flat, WireError> {
+impl Frame {
+    fn parse(line: &str) -> Result<Frame, WireError> {
         if line.len() > MAX_LINE_BYTES {
             return err(format!("frame exceeds {MAX_LINE_BYTES} bytes"));
         }
-        let b = line.trim_end_matches(['\r', '\n']).as_bytes();
-        let mut pos = 0usize;
-        skip_ws(b, &mut pos);
-        expect(b, &mut pos, b'{')?;
-        let mut fields = Vec::new();
-        skip_ws(b, &mut pos);
-        if peek(b, pos) == Some(b'}') {
-            pos += 1;
-        } else {
-            loop {
-                skip_ws(b, &mut pos);
-                let key = parse_string(b, &mut pos)?;
-                skip_ws(b, &mut pos);
-                expect(b, &mut pos, b':')?;
-                skip_ws(b, &mut pos);
-                let value = match peek(b, pos) {
-                    Some(b'"') => FlatValue::Str(parse_string(b, &mut pos)?),
-                    Some(b't') => {
-                        expect_lit(b, &mut pos, "true")?;
-                        FlatValue::Bool(true)
-                    }
-                    Some(b'f') => {
-                        expect_lit(b, &mut pos, "false")?;
-                        FlatValue::Bool(false)
-                    }
-                    Some(c) if c.is_ascii_digit() => FlatValue::U64(parse_u64(b, &mut pos)?),
-                    _ => return err(format!("unsupported value at byte {pos}")),
-                };
-                fields.push((key, value));
-                skip_ws(b, &mut pos);
-                match peek(b, pos) {
-                    Some(b',') => pos += 1,
-                    Some(b'}') => {
-                        pos += 1;
-                        break;
-                    }
-                    _ => return err(format!("expected ',' or '}}' at byte {pos}")),
-                }
-            }
+        let v = json::parse(line.trim_end_matches(['\r', '\n']))
+            .map_err(|e| WireError(e.to_string()))?;
+        if v.as_object().is_none() {
+            return err("frame is not a JSON object");
         }
-        skip_ws(b, &mut pos);
-        if pos != b.len() {
-            return err(format!("trailing bytes after frame at byte {pos}"));
-        }
-        Ok(Flat { fields })
+        Ok(Frame(v))
     }
 
-    fn get(&self, key: &str) -> Result<&FlatValue, WireError> {
-        self.fields
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v)
+    fn get(&self, key: &str) -> Result<&Value, WireError> {
+        self.0
+            .get(key)
             .map_or_else(|| err(format!("missing field {key:?}")), Ok)
     }
 
     fn str(&self, key: &str) -> Result<&str, WireError> {
-        match self.get(key)? {
-            FlatValue::Str(s) => Ok(s),
-            _ => err(format!("field {key:?} is not a string")),
-        }
+        self.get(key)?
+            .as_str()
+            .map_or_else(|| err(format!("field {key:?} is not a string")), Ok)
     }
 
     fn u64(&self, key: &str) -> Result<u64, WireError> {
-        match self.get(key)? {
-            FlatValue::U64(v) => Ok(*v),
-            _ => err(format!("field {key:?} is not an unsigned integer")),
-        }
+        self.get(key)?.as_u64().map_or_else(
+            || err(format!("field {key:?} is not an unsigned integer")),
+            Ok,
+        )
     }
 
     fn bool(&self, key: &str) -> Result<bool, WireError> {
-        match self.get(key)? {
-            FlatValue::Bool(v) => Ok(*v),
-            _ => err(format!("field {key:?} is not a boolean")),
-        }
-    }
-}
-
-fn peek(b: &[u8], pos: usize) -> Option<u8> {
-    b.get(pos).copied()
-}
-
-fn skip_ws(b: &[u8], pos: &mut usize) {
-    while matches!(peek(b, *pos), Some(b' ' | b'\t')) {
-        *pos += 1;
-    }
-}
-
-fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), WireError> {
-    if peek(b, *pos) == Some(c) {
-        *pos += 1;
-        Ok(())
-    } else {
-        err(format!("expected {:?} at byte {pos}", c as char))
-    }
-}
-
-fn expect_lit(b: &[u8], pos: &mut usize, lit: &str) -> Result<(), WireError> {
-    if b[*pos..].starts_with(lit.as_bytes()) {
-        *pos += lit.len();
-        Ok(())
-    } else {
-        err(format!("bad literal at byte {pos}"))
-    }
-}
-
-fn parse_u64(b: &[u8], pos: &mut usize) -> Result<u64, WireError> {
-    let start = *pos;
-    while matches!(peek(b, *pos), Some(c) if c.is_ascii_digit()) {
-        *pos += 1;
-    }
-    std::str::from_utf8(&b[start..*pos])
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .map_or_else(|| err(format!("bad integer at byte {start}")), Ok)
-}
-
-fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, WireError> {
-    expect(b, pos, b'"')?;
-    let mut out = Vec::new();
-    loop {
-        match peek(b, *pos) {
-            Some(b'"') => {
-                *pos += 1;
-                return String::from_utf8(out).map_or_else(|_| err("invalid UTF-8"), Ok);
-            }
-            Some(b'\\') => {
-                *pos += 1;
-                match peek(b, *pos) {
-                    Some(b'n') => out.push(b'\n'),
-                    Some(b'r') => out.push(b'\r'),
-                    Some(b't') => out.push(b'\t'),
-                    Some(b'"') => out.push(b'"'),
-                    Some(b'\\') => out.push(b'\\'),
-                    Some(b'u') => {
-                        let hex = b
-                            .get(*pos + 1..*pos + 5)
-                            .map_or_else(|| err("truncated \\u escape"), Ok)?;
-                        let cp = std::str::from_utf8(hex)
-                            .ok()
-                            .and_then(|h| u32::from_str_radix(h, 16).ok())
-                            .map_or_else(|| err("bad \\u escape"), Ok)?;
-                        out.extend(
-                            char::from_u32(cp)
-                                .unwrap_or('\u{fffd}')
-                                .to_string()
-                                .as_bytes(),
-                        );
-                        *pos += 4;
-                    }
-                    _ => return err("truncated escape"),
-                }
-                *pos += 1;
-            }
-            Some(c) => {
-                out.push(c);
-                *pos += 1;
-            }
-            None => return err("unterminated string"),
-        }
+        self.get(key)?
+            .as_bool()
+            .map_or_else(|| err(format!("field {key:?} is not a boolean")), Ok)
     }
 }
 
@@ -713,6 +559,34 @@ mod tests {
             "x".repeat(MAX_LINE_BYTES)
         );
         assert!(Request::from_line(&huge).is_err());
+    }
+
+    #[test]
+    fn u64_max_index_round_trips() {
+        let r = Request::Result {
+            index: u64::MAX,
+            fingerprint: "f".to_string(),
+            status: WorkStatus::Ok,
+            stats: String::new(),
+            message: String::new(),
+        };
+        assert_eq!(Request::from_line(&r.to_line()).unwrap(), r);
+        let c = Reply::Cell {
+            index: u64::MAX,
+            fingerprint: "f".to_string(),
+            label: "go".to_string(),
+            deadline_ms: u64::MAX,
+        };
+        assert_eq!(Reply::from_line(&c.to_line()).unwrap(), c);
+    }
+
+    #[test]
+    fn duplicate_key_is_a_typed_fault() {
+        let e = Request::from_line("{\"type\":\"lease\",\"type\":\"bye\"}\n").unwrap_err();
+        assert!(e.0.contains("duplicate"), "{e}");
+        let e = Reply::from_line("{\"type\":\"ack\",\"index\":1,\"index\":2,\"cached\":true}")
+            .unwrap_err();
+        assert!(e.0.contains("duplicate"), "{e}");
     }
 
     #[test]

@@ -51,22 +51,9 @@ use crate::attribution::{BranchTable, PathTable, TimeSeries};
 use crate::registry::{Histogram, Registry};
 use crate::trace::ChromeTrace;
 
-/// Escape `s` for inclusion inside a JSON string literal.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
+/// Escape `s` for inclusion inside a JSON string literal (the
+/// workspace's one escaper, [`pp_core::json::escape`]).
+pub use pp_core::json::escape as json_escape;
 
 /// Render an `f64` as a JSON number (non-finite values become `null`,
 /// which JSON has no other spelling for).

@@ -18,7 +18,7 @@
 //!   the simulator's own phase timings and simulated-KIPS rate ride
 //!   along in the metrics artifact. The same KIPS figure is what the
 //!   kernel throughput report (`bench_kernel` → `BENCH_kernel.json`)
-//!   aggregates across the `run_all` matrix, so cycle-loop
+//!   aggregates across the `sweep run all` matrix, so cycle-loop
 //!   optimizations show up here with no extra wiring (see DESIGN.md
 //!   §3c, "Performance methodology").
 //!
