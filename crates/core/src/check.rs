@@ -20,7 +20,7 @@ use std::fmt;
 use pp_func::{EmuError, Emulator, StepEvent};
 use pp_isa::Program;
 
-use crate::observer::{CommitRecord, PipeEvent, PipelineObserver};
+use crate::observer::CommitRecord;
 
 /// Which architectural effect mismatched.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -191,10 +191,8 @@ impl fmt::Display for CheckFailure {
 
 /// The lock-step differential oracle.
 ///
-/// Feed it every [`CommitRecord`] in commit order — directly via
-/// [`check`](Self::check), or by attaching it as a [`PipelineObserver`]
-/// (its [`commit`](PipelineObserver::commit) hook forwards to `check`).
-/// In panicking mode ([`new`](Self::new), what
+/// Feed it every [`CommitRecord`] in commit order via
+/// [`check`](Self::check). In panicking mode ([`new`](Self::new), what
 /// [`crate::SimConfig::with_commit_checking`] uses internally) the first
 /// failure panics with the full report; in recording mode
 /// ([`recording`](Self::recording)) the failure is stored and all later
@@ -301,18 +299,6 @@ impl DiffOracle {
                 next_reference,
             }),
         }
-    }
-}
-
-impl PipelineObserver for DiffOracle {
-    fn event(&mut self, _ev: &PipeEvent) {}
-
-    fn commit(&mut self, r: &CommitRecord) {
-        self.check(r);
-    }
-
-    fn into_any(self: Box<Self>) -> Box<dyn std::any::Any> {
-        self
     }
 }
 

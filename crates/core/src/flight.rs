@@ -6,7 +6,7 @@
 //! loop — by the time the panic message is read, the machine state that
 //! led up to it is gone. With a recorder enabled
 //! ([`crate::Simulator::enable_flight_recorder`]), the simulator pushes
-//! one [`CycleRec`] per cycle into a preallocated ring — O(1), no
+//! the cycle's [`CycleSample`] into a preallocated ring — O(1), no
 //! allocation in the hot loop — and harnesses append
 //! [`crate::Simulator::flight_dump`] to their failure reports: the last
 //! N cycles of commit/stall/path history, CTX-tag annotated.
@@ -14,52 +14,18 @@
 //! Sizing policy: the default depth ([`DEFAULT_FLIGHT_DEPTH`]) covers a
 //! few front-end latencies plus the longest cache-miss chain — enough to
 //! see the squash or starvation that preceded a failure — while keeping
-//! a dump under a screenful. Each record is a few dozen bytes, so even
-//! deep rings are negligible next to the window itself.
+//! a dump under a screenful. Each record is under 150 bytes,
+//! so even deep rings are negligible next to the window itself.
 
-use pp_ctx::CtxTag;
-
+use crate::observer::CycleSample;
 use crate::stall::StallCause;
-use crate::window::Seq;
 
 /// Default ring depth used by the checking harnesses (`pp-check`,
 /// `pp-sweep`): the last 64 cycles of history.
 pub const DEFAULT_FLIGHT_DEPTH: usize = 64;
 
-/// Head-of-window identity at the end of a cycle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HeadInfo {
-    /// Dispatch sequence number.
-    pub seq: Seq,
-    /// Static PC.
-    pub pc: usize,
-    /// CTX tag as captured at dispatch (lazy snapshot).
-    pub ctx: CtxTag,
-}
-
-/// One cycle's snapshot, as pushed into the ring.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CycleRec {
-    /// The cycle this record describes.
-    pub cycle: u64,
-    /// Instructions retired this cycle.
-    pub committed: u32,
-    /// Why the remaining commit slots retired nothing (`None` when every
-    /// slot committed).
-    pub stall: Option<StallCause>,
-    /// Live paths in the CTX table at end of cycle.
-    pub live_paths: u32,
-    /// Unresolved divergences at end of cycle.
-    pub live_divergences: u32,
-    /// Occupied window entries at end of cycle.
-    pub window_occupancy: u32,
-    /// Instructions in the front-end latches at end of cycle.
-    pub frontend_occupancy: u32,
-    /// Oldest live window entry, if any.
-    pub head: Option<HeadInfo>,
-}
-
-impl std::fmt::Display for CycleRec {
+/// The ring's one-line rendering of a cycle.
+impl std::fmt::Display for CycleSample {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
@@ -85,12 +51,12 @@ impl std::fmt::Display for CycleRec {
     }
 }
 
-/// Fixed-capacity ring of [`CycleRec`]s: `push` is O(1) and allocation
+/// Fixed-capacity ring of [`CycleSample`]s: `push` is O(1) and allocation
 /// happens only at construction, so the recorder can stay on during
 /// checked runs without disturbing the hot loop.
 #[derive(Debug)]
 pub struct FlightRecorder {
-    ring: Vec<CycleRec>,
+    ring: Vec<CycleSample>,
     /// Ring capacity (a `Vec` may over-allocate, so track it ourselves).
     cap: usize,
     /// Next slot to overwrite.
@@ -134,7 +100,7 @@ impl FlightRecorder {
     }
 
     /// Record one cycle, overwriting the oldest record once full.
-    pub fn push(&mut self, rec: CycleRec) {
+    pub fn push(&mut self, rec: CycleSample) {
         if self.ring.len() < self.cap {
             self.ring.push(rec);
         } else {
@@ -148,7 +114,7 @@ impl FlightRecorder {
     }
 
     /// Retained records, oldest first.
-    pub fn iter(&self) -> impl Iterator<Item = &CycleRec> {
+    pub fn iter(&self) -> impl Iterator<Item = &CycleSample> {
         let split = if self.ring.len() < self.cap {
             0
         } else {
@@ -179,14 +145,15 @@ impl FlightRecorder {
 mod tests {
     use super::*;
 
-    fn rec(cycle: u64) -> CycleRec {
-        CycleRec {
+    fn rec(cycle: u64) -> CycleSample {
+        CycleSample {
             cycle,
             committed: (cycle % 3) as u32,
             stall: (!cycle.is_multiple_of(3)).then_some(StallCause::OperandWait),
             live_paths: 1,
+            fetching_paths: 1,
             live_divergences: 0,
-            window_occupancy: cycle as u32,
+            window_occupancy: cycle as usize,
             frontend_occupancy: 0,
             head: None,
         }

@@ -51,7 +51,10 @@
 //!    two.
 //!
 //! Attach a [`PipeView`] observer to watch all of this happen per
-//! instruction (`examples/pipeline_trace.rs`).
+//! instruction (`examples/pipeline_trace.rs`): it keeps one [`InstSpan`]
+//! lifecycle record per fetched instruction. Every instrument that looks
+//! at whole cycles — observers, the stall stack, the flight recorder —
+//! reads the same end-of-cycle [`CycleSample`].
 //!
 //! ## Quickstart
 //!
@@ -116,11 +119,12 @@ pub use pp_predictor::{H2pConfig, MergeConfig, MergeHypothesis};
 /// version. Pure-performance changes that leave goldens byte-identical
 /// must NOT bump it (cache reuse across such commits is the point).
 pub const BEHAVIOR_REV: u32 = 1;
-pub use flight::{CycleRec, FlightRecorder, HeadInfo, DEFAULT_FLIGHT_DEPTH};
+pub use flight::{FlightRecorder, DEFAULT_FLIGHT_DEPTH};
 pub use frontend::{FetchBranchInfo, FetchedInst, FrontEnd, PathCtx};
 pub use fus::{eligible_units, is_unpipelined, latency, FuClass, FuPool};
 pub use observer::{
-    CommitRecord, CycleSample, FetchId, KillStage, PipeEvent, PipeView, PipelineObserver, TraceLog,
+    CommitRecord, CycleSample, FetchId, HeadInfo, InstSpan, KillStage, PipeEvent, PipeView,
+    PipelineObserver, TraceLog,
 };
 pub use oracle::Oracle;
 pub use ras::{Ras, RAS_DEPTH};

@@ -1,21 +1,26 @@
-//! Pipeline event observation: cycle-stamped event hooks and renderers.
+//! Pipeline event observation: cycle-stamped event hooks, the
+//! per-instruction and per-cycle records built from them, and renderers.
 //!
 //! A [`PipelineObserver`] registered with
 //! [`crate::Simulator::set_observer`] receives every micro-architectural
 //! event — fetch, squash, dispatch, issue, writeback, branch resolution,
-//! divergence, recovery redirect, commit — as it happens. Two observers
-//! ship with the crate:
+//! divergence, recovery redirect, commit — as it happens, plus one
+//! [`CycleSample`] at the end of every cycle. Two observers ship with
+//! the crate:
 //!
 //! * [`TraceLog`] — records events verbatim (tests assert ordering
 //!   invariants on it),
-//! * [`PipeView`] — renders a per-instruction stage timeline in the style
-//!   of gem5's pipeview, which makes eager execution *visible*: killed
+//! * [`PipeView`] — folds the events into one [`InstSpan`] per fetched
+//!   instruction and renders them as a stage timeline in the style of
+//!   gem5's pipeview, which makes eager execution *visible*: killed
 //!   wrong-path instructions show as rows that fetch and execute but
-//!   never commit.
+//!   never commit. `pp_telemetry` turns the same spans into a Chrome
+//!   trace.
 
 use pp_ctx::{CtxTag, PathId};
 use pp_isa::{Op, Reg, Width};
 
+use crate::stall::StallCause;
 use crate::window::Seq;
 
 /// Unique identity of one fetched instruction (monotone across the run;
@@ -145,23 +150,47 @@ pub struct CommitRecord {
     pub store: Option<(u64, i64, Width)>,
 }
 
-/// A once-per-cycle machine-state snapshot, delivered to observers after
-/// all of the cycle's [`PipeEvent`]s. Cheap to produce (a handful of
-/// counters), and only produced when an observer is attached — telemetry
-/// sinks downsample it to their configured interval.
+/// Head-of-window identity at the end of a cycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct HeadInfo {
+    /// Dispatch sequence number.
+    pub seq: Seq,
+    /// Static PC.
+    pub pc: usize,
+    /// The instruction.
+    pub op: Op,
+    /// CTX tag as captured at dispatch (lazy snapshot).
+    pub ctx: CtxTag,
+}
+
+/// The once-per-cycle machine-state snapshot, taken at the end of the
+/// cycle. Observers receive it after all of the cycle's [`PipeEvent`]s,
+/// the stall stack charges the cycle's commit slots from it, and the
+/// flight recorder keeps the last few in its ring. Cheap to produce (a
+/// handful of counters), and only produced while one of those three is
+/// attached — telemetry sinks downsample it to their configured interval.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CycleSample {
     /// The cycle the snapshot describes.
     pub cycle: u64,
+    /// Instructions retired this cycle.
+    pub committed: u32,
+    /// Why the remaining commit slots retired nothing (`None` when every
+    /// slot committed).
+    pub stall: Option<StallCause>,
     /// Live paths in the CTX table.
     pub live_paths: usize,
     /// Paths currently eligible to fetch (live and not parked) — together
     /// with `live_paths` this exposes the fetch-priority pressure.
     pub fetching_paths: usize,
+    /// Unresolved divergences.
+    pub live_divergences: usize,
     /// Occupied instruction-window entries.
     pub window_occupancy: usize,
     /// Instructions sitting in the front-end latches.
     pub frontend_occupancy: usize,
+    /// Oldest live window entry, if any.
+    pub head: Option<HeadInfo>,
 }
 
 /// Receiver of pipeline events.
@@ -217,26 +246,125 @@ impl PipelineObserver for TraceLog {
     }
 }
 
-#[derive(Debug, Clone, Default)]
-struct Lane {
-    pc: usize,
-    op: Option<Op>,
-    fetched: u64,
-    dispatched: Option<u64>,
-    issued: Option<u64>,
-    completed: Option<u64>,
-    committed: Option<u64>,
-    killed: Option<u64>,
-    diverged: bool,
-    mispredicted: bool,
+/// One instruction's lifecycle, cycle-stamped per stage — the one
+/// per-instruction record every span-keeping observer folds the
+/// [`PipeEvent`] stream into (via [`InstSpan::apply`]). `None` means
+/// the instruction never reached that stage (killed early, or still in
+/// flight when the run ended).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct InstSpan {
+    /// Fetch identity (dense, monotone — [`PipeView`] indexes by it).
+    pub fid: u64,
+    /// Static PC.
+    pub pc: usize,
+    /// The instruction (`None` until its [`PipeEvent::Fetched`]).
+    pub op: Option<Op>,
+    /// CTX path slot the instruction was fetched on.
+    pub path: u32,
+    /// Cycle it entered the front-end.
+    pub fetched: u64,
+    /// Cycle it renamed into the window.
+    pub dispatched: Option<u64>,
+    /// Cycle it began execution.
+    pub issued: Option<u64>,
+    /// Cycle its result wrote back.
+    pub completed: Option<u64>,
+    /// Cycle it resolved (branches and returns only).
+    pub resolved: Option<u64>,
+    /// Cycle it retired architecturally.
+    pub committed: Option<u64>,
+    /// Cycle it was squashed as wrong-path work.
+    pub killed: Option<u64>,
+    /// SEE diverged at this branch.
+    pub diverged: bool,
+    /// Resolution found this branch mispredicted.
+    pub mispredicted: bool,
+    /// Fetch-time CTX tag, recorded at commit (see
+    /// [`CommitRecord::ctx`]); `None` for killed or in-flight
+    /// instructions, whose tags the event stream does not carry.
+    pub ctx: Option<CtxTag>,
 }
 
-/// Renders a per-instruction stage timeline (one row per fetched
-/// instruction): `f` fetch→dispatch, `d` dispatch→issue, `x` execute,
-/// `.` waiting for commit, `C` commit, `K` kill.
+impl InstSpan {
+    /// A span for `fid` that has seen no event yet.
+    pub fn new(fid: FetchId) -> Self {
+        InstSpan {
+            fid: fid.0,
+            pc: 0,
+            op: None,
+            path: 0,
+            fetched: 0,
+            dispatched: None,
+            issued: None,
+            completed: None,
+            resolved: None,
+            committed: None,
+            killed: None,
+            diverged: false,
+            mispredicted: false,
+            ctx: None,
+        }
+    }
+
+    /// Fold one event about this instruction (`ev.fid()` is its fid)
+    /// into the span.
+    pub fn apply(&mut self, ev: &PipeEvent) {
+        match *ev {
+            PipeEvent::Fetched {
+                cycle,
+                pc,
+                path,
+                op,
+                ..
+            } => {
+                self.fetched = cycle;
+                self.pc = pc;
+                self.op = Some(op);
+                self.path = path.index() as u32;
+            }
+            PipeEvent::Diverged { .. } => self.diverged = true,
+            PipeEvent::Dispatched { cycle, .. } => self.dispatched = Some(cycle),
+            PipeEvent::Issued { cycle, .. } => self.issued = Some(cycle),
+            PipeEvent::Completed { cycle, .. } => self.completed = Some(cycle),
+            PipeEvent::Resolved {
+                cycle,
+                mispredicted,
+                ..
+            } => {
+                self.resolved = Some(cycle);
+                self.mispredicted = mispredicted;
+            }
+            PipeEvent::Redirected { .. } => {}
+            PipeEvent::Killed { cycle, .. } => self.killed = Some(cycle),
+            PipeEvent::Committed { cycle, .. } => self.committed = Some(cycle),
+        }
+    }
+
+    /// Cycle the span ends: commit, kill, or (still in flight) `None`.
+    pub fn retired(&self) -> Option<u64> {
+        self.committed.or(self.killed)
+    }
+
+    /// `"commit"`, `"kill"`, or `"in-flight"`.
+    pub fn outcome(&self) -> &'static str {
+        if self.committed.is_some() {
+            "commit"
+        } else if self.killed.is_some() {
+            "kill"
+        } else {
+            "in-flight"
+        }
+    }
+}
+
+/// Keeps one [`InstSpan`] per fetched instruction and renders them as a
+/// per-instruction stage timeline (one row per fetched instruction):
+/// `f` fetch→dispatch, `d` dispatch→issue, `x` execute, `.` waiting for
+/// commit, `C` commit, `K` kill. Fetch ids are dense from zero, so the
+/// spans live in a flat `Vec` indexed by fid — O(1) per event.
 #[derive(Debug, Default)]
 pub struct PipeView {
-    lanes: std::collections::BTreeMap<FetchId, Lane>,
+    spans: Vec<InstSpan>,
     last_cycle: u64,
 }
 
@@ -246,14 +374,39 @@ impl PipeView {
         Self::default()
     }
 
-    /// Number of instructions observed.
+    /// Recover the concrete view from
+    /// [`crate::Simulator::take_observer`]'s boxed trait object.
+    pub fn from_box(b: Box<dyn PipelineObserver>) -> Option<Self> {
+        b.into_any().downcast::<PipeView>().ok().map(|b| *b)
+    }
+
+    /// Spans of the fetched instructions, in fetch order.
+    pub fn iter(&self) -> impl Iterator<Item = &InstSpan> {
+        self.spans.iter().filter(|s| s.op.is_some())
+    }
+
+    /// Number of fetch ids observed (one past the highest).
     pub fn len(&self) -> usize {
-        self.lanes.len()
+        self.spans.len()
     }
 
     /// `true` before any instruction was observed.
     pub fn is_empty(&self) -> bool {
-        self.lanes.is_empty()
+        self.spans.is_empty()
+    }
+
+    /// Last cycle any event was seen on (closes in-flight spans).
+    pub fn last_cycle(&self) -> u64 {
+        self.last_cycle
+    }
+
+    fn span_mut(&mut self, fid: FetchId) -> &mut InstSpan {
+        let idx = fid.0 as usize;
+        while self.spans.len() <= idx {
+            let next = FetchId(self.spans.len() as u64);
+            self.spans.push(InstSpan::new(next));
+        }
+        &mut self.spans[idx]
     }
 
     /// Render rows for instructions fetched in `[from, to)` cycles.
@@ -261,48 +414,42 @@ impl PipeView {
         use std::fmt::Write as _;
         let mut out = String::new();
         let width = (self.last_cycle + 1).min(to) as usize;
-        for (fid, lane) in &self.lanes {
-            if lane.fetched < from || lane.fetched >= to {
+        for s in self.iter() {
+            if s.fetched < from || s.fetched >= to {
                 continue;
             }
-            let end = lane
-                .committed
-                .or(lane.killed)
-                .unwrap_or(self.last_cycle)
-                .min(to - 1);
+            let end = s.retired().unwrap_or(self.last_cycle).min(to - 1);
             let mut row = vec![b' '; width.saturating_sub(from as usize)];
             let col = |c: u64| (c.saturating_sub(from)) as usize;
-            for c in lane.fetched..=end {
+            for c in s.fetched..=end {
                 let idx = col(c);
                 if idx >= row.len() {
                     break;
                 }
                 row[idx] = match () {
-                    _ if Some(c) == lane.committed => b'C',
-                    _ if Some(c) == lane.killed => b'K',
-                    _ if lane.issued.is_some_and(|i| c >= i)
-                        && lane.completed.is_some_and(|w| c < w) =>
-                    {
+                    _ if Some(c) == s.committed => b'C',
+                    _ if Some(c) == s.killed => b'K',
+                    _ if s.issued.is_some_and(|i| c >= i) && s.completed.is_some_and(|w| c < w) => {
                         b'x'
                     }
-                    _ if lane.completed.is_some_and(|w| c >= w) => b'.',
-                    _ if lane.dispatched.is_some_and(|d| c >= d) => b'd',
+                    _ if s.completed.is_some_and(|w| c >= w) => b'.',
+                    _ if s.dispatched.is_some_and(|d| c >= d) => b'd',
                     _ => b'f',
                 };
             }
-            let mark = if lane.diverged {
+            let mark = if s.diverged {
                 "=<"
-            } else if lane.mispredicted {
+            } else if s.mispredicted {
                 "!!"
             } else {
                 "  "
             };
-            let opstr = lane.op.map_or_else(|| "?".into(), |o| o.to_string());
+            let opstr = s.op.map_or_else(|| "?".into(), |o| o.to_string());
             let _ = writeln!(
                 out,
                 "{:>6} {:>5} {mark} |{}| {opstr}",
-                fid.0,
-                lane.pc,
+                s.fid,
+                s.pc,
                 String::from_utf8_lossy(&row),
             );
         }
@@ -322,22 +469,11 @@ impl PipelineObserver for PipeView {
 
     fn event(&mut self, ev: &PipeEvent) {
         self.last_cycle = self.last_cycle.max(ev.cycle());
-        let lane = self.lanes.entry(ev.fid()).or_default();
-        match *ev {
-            PipeEvent::Fetched { cycle, pc, op, .. } => {
-                lane.fetched = cycle;
-                lane.pc = pc;
-                lane.op = Some(op);
-            }
-            PipeEvent::Diverged { .. } => lane.diverged = true,
-            PipeEvent::Dispatched { cycle, .. } => lane.dispatched = Some(cycle),
-            PipeEvent::Issued { cycle, .. } => lane.issued = Some(cycle),
-            PipeEvent::Completed { cycle, .. } => lane.completed = Some(cycle),
-            PipeEvent::Resolved { mispredicted, .. } => lane.mispredicted = mispredicted,
-            PipeEvent::Redirected { .. } => {}
-            PipeEvent::Killed { cycle, .. } => lane.killed = Some(cycle),
-            PipeEvent::Committed { cycle, .. } => lane.committed = Some(cycle),
-        }
+        self.span_mut(ev.fid()).apply(ev);
+    }
+
+    fn commit(&mut self, r: &CommitRecord) {
+        self.span_mut(r.fid).ctx = Some(r.ctx);
     }
 }
 
@@ -449,5 +585,91 @@ mod tests {
         }
         let out = pv.render_range(10, 25);
         assert_eq!(out.lines().count(), 2, "{out}");
+    }
+
+    fn branchy_program() -> pp_isa::Program {
+        use pp_isa::{reg, Asm, Operand};
+        let mut a = Asm::new();
+        a.li(reg::T0, 0);
+        a.li(reg::T1, 0);
+        let top = a.here();
+        a.and(reg::T2, reg::T0, 3i64);
+        let skip = a.new_label();
+        a.bne(reg::T2, 0i64, skip);
+        a.addi(reg::T1, reg::T1, 1);
+        a.bind(skip).unwrap();
+        a.addi(reg::T0, reg::T0, 1);
+        a.blt(reg::T0, Operand::imm(60), top);
+        a.halt();
+        a.assemble().expect("assembles")
+    }
+
+    fn collect() -> (PipeView, crate::SimStats) {
+        let p = branchy_program();
+        let mut sim = crate::Simulator::new(&p, crate::SimConfig::baseline());
+        sim.set_observer(Box::new(PipeView::new()));
+        let stats = sim.run();
+        let view = PipeView::from_box(sim.take_observer().expect("attached")).expect("downcasts");
+        (view, stats)
+    }
+
+    #[test]
+    fn spans_cover_every_fetched_instruction() {
+        let (spans, stats) = collect();
+        assert_eq!(spans.len() as u64, stats.fetched_instructions);
+        assert_eq!(spans.iter().count(), spans.len());
+        let committed = spans.iter().filter(|s| s.committed.is_some()).count() as u64;
+        assert_eq!(committed, stats.committed_instructions);
+        let killed = spans.iter().filter(|s| s.killed.is_some()).count() as u64;
+        assert_eq!(killed, stats.killed_instructions);
+    }
+
+    #[test]
+    fn stage_timestamps_are_monotone() {
+        let (spans, _) = collect();
+        for s in spans.iter() {
+            if let Some(d) = s.dispatched {
+                assert!(d >= s.fetched, "fid {}: dispatch before fetch", s.fid);
+                if let Some(i) = s.issued {
+                    assert!(i >= d, "fid {}: issue before dispatch", s.fid);
+                    if let Some(w) = s.completed {
+                        assert!(w > i, "fid {}: writeback not after issue", s.fid);
+                        if let Some(c) = s.committed {
+                            assert!(c >= w, "fid {}: commit before writeback", s.fid);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn committed_spans_carry_ctx_and_outcome() {
+        let (spans, _) = collect();
+        for s in spans.iter().filter(|s| s.committed.is_some()) {
+            assert!(s.ctx.is_some(), "fid {}: committed without CTX", s.fid);
+            assert_eq!(s.outcome(), "commit");
+        }
+        assert!(
+            spans
+                .iter()
+                .any(|s| s.killed.is_some() && s.outcome() == "kill"),
+            "SEE on a badly predicted branch produces wrong-path kills"
+        );
+    }
+
+    #[test]
+    fn unfetched_ids_render_no_row() {
+        let mut pv = PipeView::new();
+        pv.event(&PipeEvent::Fetched {
+            cycle: 1,
+            fid: FetchId(2),
+            pc: 7,
+            path: pid(),
+            op: Op::Nop,
+        });
+        assert_eq!(pv.len(), 3);
+        assert_eq!(pv.iter().map(|s| s.fid).collect::<Vec<_>>(), vec![2]);
+        assert_eq!(pv.render().lines().count(), 1);
     }
 }

@@ -11,6 +11,8 @@
 //! one stage per cycle): commit → writeback/branch-resolution → issue →
 //! rename/dispatch → fetch.
 
+use std::time::Duration;
+
 use pp_ctx::{CtxTag, PathId, PathTable, PositionAllocator, TagIndex};
 use pp_func::{Emulator, Memory};
 use pp_isa::{alu_eval, cond_eval, fp_eval, Op, Operand, Program, Width};
@@ -22,13 +24,15 @@ use pp_predictor::{
 use crate::cache::DCache;
 use crate::check::DiffOracle;
 use crate::config::{ConfidenceKind, ExecMode, FetchPolicy, PredictorKind, SimConfig};
-use crate::flight::{CycleRec, FlightRecorder, HeadInfo};
+use crate::flight::FlightRecorder;
 use crate::frontend::{FetchBranchInfo, FetchedInst, FrontEnd, PathCtx};
 use crate::fus::{self, FuClass, FuPool};
-use crate::observer::{CommitRecord, CycleSample, FetchId, KillStage, PipeEvent, PipelineObserver};
+use crate::observer::{
+    CommitRecord, CycleSample, FetchId, HeadInfo, KillStage, PipeEvent, PipelineObserver,
+};
 use crate::oracle::Oracle;
 use crate::regfile::{PhysReg, PhysRegFile, RegMap};
-use crate::selfprof::{self, HostProfile};
+use crate::selfprof::{self, HostProfile, Stamp};
 use crate::stall::{StallCause, StallStack};
 use crate::stats::SimStats;
 use crate::storebuf::{LoadCheck, StoreBuffer};
@@ -137,9 +141,9 @@ pub struct Simulator {
     /// structural resource refused this cycle, and which resource.
     /// Consulted by the *next* cycle's commit triage (commit runs first).
     issue_block: Option<(Seq, IssueBlock)>,
-    /// This cycle's commit outcome for the flight recorder: slots retired
+    /// This cycle's commit outcome for its [`CycleSample`]: slots retired
     /// and the classified cause for the rest (written by `do_commit` only
-    /// while the stall stack or recorder is enabled).
+    /// while an instrument reads the sample).
     commit_note: (u32, Option<StallCause>),
 
     // Per-cycle scratch buffers, hoisted out of the stage functions so the
@@ -428,17 +432,18 @@ impl Simulator {
             return "flight recorder: not enabled".to_string();
         };
         let mut out = fr.render();
+        let s = self.snapshot();
         let _ = write!(
             out,
             "  in-flight cycle {:>5}: committed_total={} paths={} div={} window={:>4} frontend={:>3}",
-            self.now,
+            s.cycle,
             self.stats.committed_instructions,
-            self.paths.live(),
-            self.live_divergences,
-            self.window.occupancy(),
-            self.frontend.len(),
+            s.live_paths,
+            s.live_divergences,
+            s.window_occupancy,
+            s.frontend_occupancy,
         );
-        match self.window.iter_live().next() {
+        match s.head {
             None => {
                 let _ = writeln!(out, " head=-");
             }
@@ -521,72 +526,83 @@ impl Simulator {
         self.fu_pool.begin_cycle();
         self.account_fu_capacity();
 
-        if self.selfprof.is_none() {
-            self.do_commit();
-            if !self.halted {
-                self.do_writeback_and_resolve();
-                self.do_issue();
-                self.do_dispatch();
-                self.do_fetch();
-            }
-        } else {
-            let t0 = selfprof::stamp();
-            self.do_commit();
-            let t1 = selfprof::stamp();
-            let (mut t2, mut t3, mut t4, mut t5) = (t1, t1, t1, t1);
-            if !self.halted {
-                self.do_writeback_and_resolve();
-                t2 = selfprof::stamp();
-                self.do_issue();
-                t3 = selfprof::stamp();
-                self.do_dispatch();
-                t4 = selfprof::stamp();
-                self.do_fetch();
-                t5 = selfprof::stamp();
-            }
-            let p = self.selfprof.as_mut().expect("checked above");
-            p.commit += t1 - t0;
-            p.writeback += t2 - t1;
-            p.issue += t3 - t2;
-            p.dispatch += t4 - t3;
-            p.fetch += t5 - t4;
+        // Host time is read only while self-profiling: `lap` charges the
+        // time since the previous stamp to the phase that just ran.
+        let mut clock = self.selfprof.as_ref().map(|_| selfprof::stamp());
+        self.do_commit();
+        self.lap(&mut clock, |p| &mut p.commit);
+        if !self.halted {
+            self.do_writeback_and_resolve();
+            self.lap(&mut clock, |p| &mut p.writeback);
+            self.do_issue();
+            self.lap(&mut clock, |p| &mut p.issue);
+            self.do_dispatch();
+            self.lap(&mut clock, |p| &mut p.dispatch);
+            self.do_fetch();
+            self.lap(&mut clock, |p| &mut p.fetch);
         }
 
         self.stats.record_path_count(self.paths.live());
         self.stats.window_occupancy_sum += self.window.occupancy() as u64;
         self.account_fu_busy();
-        if let Some(obs) = &mut self.observer {
-            let sample = CycleSample {
-                cycle: self.now,
-                live_paths: self.paths.live(),
-                fetching_paths: self.paths.iter().filter(|(_, p)| p.fetching).count(),
-                window_occupancy: self.window.occupancy(),
-                frontend_occupancy: self.frontend.len(),
-            };
-            obs.sample(&sample);
-        }
-        if let Some(fr) = &mut self.flight {
-            let (committed, stall) = self.commit_note;
-            let head = self.window.iter_live().next().map(|e| HeadInfo {
-                seq: e.seq,
-                pc: e.pc,
-                ctx: e.ctx,
-            });
-            fr.push(CycleRec {
-                cycle: self.now,
-                committed,
-                stall,
-                live_paths: self.paths.live() as u32,
-                live_divergences: self.live_divergences as u32,
-                window_occupancy: self.window.occupancy() as u32,
-                frontend_occupancy: self.frontend.len() as u32,
-                head,
-            });
+        if self.instrumented() {
+            let s = self.snapshot();
+            if let Some(st) = &mut self.stallstack {
+                st.commit_slots += u64::from(s.committed);
+                if let Some(c) = s.stall {
+                    st.charge(c, u64::from(self.cfg.commit_width as u32 - s.committed));
+                }
+            }
+            if let Some(obs) = &mut self.observer {
+                obs.sample(&s);
+            }
+            if let Some(fr) = &mut self.flight {
+                fr.push(s);
+            }
         }
         if self.cfg.sanitize {
             self.assert_sane();
         }
         self.now += 1;
+    }
+
+    /// Self-profiling lap: charge the host time since `clock` to the
+    /// phase `field` selects and restart the clock (no-op when off).
+    fn lap(&mut self, clock: &mut Option<Stamp>, field: fn(&mut HostProfile) -> &mut Duration) {
+        if let (Some(p), Some(last)) = (&mut self.selfprof, clock) {
+            let now = selfprof::stamp();
+            *field(p) += now - *last;
+            *last = now;
+        }
+    }
+
+    /// `true` while an instrument that reads the per-cycle
+    /// [`CycleSample`] is attached: an observer, the stall stack, or the
+    /// flight recorder.
+    fn instrumented(&self) -> bool {
+        self.observer.is_some() || self.stallstack.is_some() || self.flight.is_some()
+    }
+
+    /// The machine-state snapshot of the current cycle (its commit
+    /// outcome is the one `do_commit` noted).
+    fn snapshot(&self) -> CycleSample {
+        let (committed, stall) = self.commit_note;
+        CycleSample {
+            cycle: self.now,
+            committed,
+            stall,
+            live_paths: self.paths.live(),
+            fetching_paths: self.paths.iter().filter(|(_, p)| p.fetching).count(),
+            live_divergences: self.live_divergences,
+            window_occupancy: self.window.occupancy(),
+            frontend_occupancy: self.frontend.len(),
+            head: self.window.iter_live().next().map(|e| HeadInfo {
+                seq: e.seq,
+                pc: e.pc,
+                op: e.op,
+                ctx: e.ctx,
+            }),
+        }
     }
 
     fn account_fu_capacity(&mut self) {
@@ -649,15 +665,15 @@ impl Simulator {
                 break;
             }
         }
-        if self.stallstack.is_some() || self.flight.is_some() {
+        if self.instrumented() {
             self.note_commit_slots(committed);
         }
     }
 
-    /// Stall-stack epilogue (runs only while the stall stack or flight
-    /// recorder is enabled): charge every commit slot this cycle either
-    /// to a retirement or to one classified stall cause, so the account
-    /// always closes against `cycles × commit_width`.
+    /// Commit-stage epilogue for the cycle's [`CycleSample`] (runs only
+    /// while [`Self::instrumented`]): every commit slot this cycle is
+    /// either a retirement or charged to one classified stall cause, so
+    /// the stall stack always closes against `cycles × commit_width`.
     fn note_commit_slots(&mut self, committed: u32) {
         let width = self.cfg.commit_width as u32;
         let stalled = u64::from(width.saturating_sub(committed));
@@ -672,12 +688,6 @@ impl Simulator {
             Some(self.stall_cause_now())
         };
         self.commit_note = (committed, cause);
-        if let Some(st) = &mut self.stallstack {
-            st.commit_slots += u64::from(committed);
-            if let Some(c) = cause {
-                st.charge(c, stalled);
-            }
-        }
     }
 
     /// Classify why the head failed to retire this cycle (taxonomy and

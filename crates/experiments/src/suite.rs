@@ -13,7 +13,8 @@
 use std::fmt::Write as _;
 
 use pp_core::{
-    CacheConfig, ConfidenceKind, FetchPolicy, Policy, PredictorKind, SimConfig, SimStats, Simulator,
+    CacheConfig, ConfidenceKind, FetchPolicy, PipeView, Policy, PredictorKind, SimConfig, SimStats,
+    Simulator, StallStack, STALL_CAUSES,
 };
 use pp_predictor::{AdaptiveConfig, H2pConfig, JrsConfig};
 use pp_sweep::{
@@ -1178,6 +1179,45 @@ impl Experiment for WorkloadProfileExp {
 /// named cause, across the workload suite × three execution models.
 pub struct StallStackExp;
 
+/// Header for the CPI stall-stack CSV ([`stall_csv_row`]).
+fn stall_csv_header() -> String {
+    let mut out = String::from("workload,config,cycles,commit_width,committed,commit_slots");
+    for c in STALL_CAUSES {
+        out.push(',');
+        out.push_str(c.name());
+    }
+    out.push_str(",total_slots,cpi\n");
+    out
+}
+
+/// One CSV row of a run's stall stack next to its `SimStats` totals.
+/// Columns match [`stall_csv_header`]; the conservation invariant is
+/// `total_slots == cycles * commit_width`.
+fn stall_csv_row(
+    workload: &str,
+    config: &str,
+    commit_width: u64,
+    stats: &SimStats,
+    st: &StallStack,
+) -> String {
+    let mut out = String::new();
+    let _ = write!(
+        out,
+        "{workload},{config},{},{commit_width},{},{}",
+        stats.cycles, stats.committed_instructions, st.commit_slots,
+    );
+    for c in STALL_CAUSES {
+        let _ = write!(out, ",{}", st.get(c));
+    }
+    let cpi = if stats.committed_instructions == 0 {
+        0.0
+    } else {
+        stats.cycles as f64 / stats.committed_instructions as f64
+    };
+    let _ = writeln!(out, ",{},{cpi:.4}", st.total_slots());
+    out
+}
+
 /// The three execution models the stall stacks compare (the fuzz
 /// configurations, minus checking).
 const STALL_CONFIGS: [(&str, Config); 3] = [
@@ -1200,7 +1240,7 @@ impl Experiment for StallStackExp {
         Vec::new()
     }
     fn render(&self, _: &[CellResult]) -> Rendered {
-        let mut csv = pp_trace::stall_csv_header();
+        let mut csv = stall_csv_header();
         let mut t = Table::new([
             "workload",
             "config",
@@ -1243,13 +1283,7 @@ impl Experiment for StallStackExp {
                     );
                 }
 
-                csv.push_str(&pp_trace::stall_csv_row(
-                    w.name(),
-                    cname,
-                    width,
-                    &stats,
-                    &st,
-                ));
+                csv.push_str(&stall_csv_row(w.name(), cname, width, &stats, &st));
                 let pct = |v: u64| format!("{:.1}", 100.0 * v as f64 / st.total_slots() as f64);
                 t.row([
                     w.name().to_string(),
@@ -1271,19 +1305,19 @@ impl Experiment for StallStackExp {
         }
 
         // One representative causal timeline rides along: compress under
-        // SEE/JRS with the span collector attached (reduced scale; the
-        // event cap bounds the artifact anyway).
+        // SEE/JRS with a pipeview attached (reduced scale; the event cap
+        // bounds the artifact anyway).
         let w = Workload::Compress;
         let program = w.build((scaled(w) / 10).max(4));
         let mut sim = Simulator::new(
             &program,
             named_config(Config::SeeJrs, BASELINE_HISTORY_BITS),
         );
-        sim.set_observer(Box::new(pp_trace::SpanCollector::new()));
+        sim.set_observer(Box::new(PipeView::new()));
         sim.run();
-        let spans = pp_trace::SpanCollector::from_box(sim.take_observer().expect("attached"))
-            .expect("downcasts");
-        let trace = spans.to_chrome_trace(pp_telemetry::DEFAULT_MAX_TRACE_EVENTS);
+        let view = PipeView::from_box(sim.take_observer().expect("attached")).expect("downcasts");
+        let trace =
+            pp_telemetry::ChromeTrace::from_pipeview(&view, pp_telemetry::DEFAULT_MAX_TRACE_EVENTS);
         let mut trace_json = Vec::new();
         pp_telemetry::write_chrome_trace(&mut trace_json, &trace)
             .expect("a simulated run always produces trace events");
@@ -1865,6 +1899,22 @@ pub fn run_all(opts: &SweepOpts) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn stall_csv_shape_matches_header() {
+        let program = Workload::Compress.build(20);
+        let mut sim = Simulator::new(&program, SimConfig::baseline());
+        sim.enable_stall_accounting();
+        let stats = sim.run();
+        let st = *sim.stall_stack().expect("enabled");
+        let header = stall_csv_header();
+        let row = stall_csv_row("test", "see_jrs", 8, &stats, &st);
+        assert_eq!(
+            header.trim_end().split(',').count(),
+            row.trim_end().split(',').count()
+        );
+        assert!(row.starts_with("test,see_jrs,"));
+    }
 
     #[test]
     fn registry_names_are_unique_and_findable() {

@@ -1,5 +1,6 @@
-//! Observability must be byte-invisible: enabling the stall accountant,
-//! the flight recorder, and a span-collecting observer must leave every
+//! Observability must be byte-invisible: enabling self-profiling, the
+//! stall accountant, the flight recorder, and a span-keeping observer
+//! (a `PipeView`, or a `TelemetryObserver` for SEE/JRS) must leave every
 //! committed golden `SimStats` snapshot untouched — the instrumented
 //! machine is the *same* machine.
 //!
@@ -11,11 +12,11 @@
 //! `tests/golden.rs`'s job, and two tests writing the same snapshot
 //! concurrently would race.
 
-use pp_core::{Simulator, DEFAULT_FLIGHT_DEPTH};
+use pp_core::{PipeView, PipelineObserver, Simulator, DEFAULT_FLIGHT_DEPTH};
 use pp_experiments::experiments::BASELINE_HISTORY_BITS;
 use pp_experiments::{named_config, Config};
+use pp_telemetry::TelemetryObserver;
 use pp_testutil::golden::{check_golden, golden_dir};
-use pp_trace::SpanCollector;
 use pp_workloads::Workload;
 
 /// Same fixed scale as `tests/golden.rs` (snapshots are committed
@@ -24,7 +25,14 @@ fn golden_scale(w: Workload) -> u64 {
     (w.default_scale() / 64).max(2000)
 }
 
-fn check_config(c: Config, key: &'static str) {
+/// Which observer rides in the observer slot.
+#[derive(Clone, Copy)]
+enum Slot {
+    PipeView,
+    Telemetry,
+}
+
+fn check_config(c: Config, key: &'static str, slot: Slot) {
     if cfg!(debug_assertions) || pp_testutil::golden::update_mode() {
         eprintln!(
             "trace_invisibility[{key}]: tier-2 suite, skipped in debug \
@@ -36,9 +44,14 @@ fn check_config(c: Config, key: &'static str) {
     for w in Workload::ALL {
         let program = w.build(golden_scale(w));
         let mut sim = Simulator::new(&program, cfg.clone());
+        sim.enable_self_profiling();
         sim.enable_stall_accounting();
         sim.enable_flight_recorder(DEFAULT_FLIGHT_DEPTH);
-        sim.set_observer(Box::new(SpanCollector::new()));
+        let observer: Box<dyn PipelineObserver> = match slot {
+            Slot::PipeView => Box::new(PipeView::new()),
+            Slot::Telemetry => Box::new(TelemetryObserver::new()),
+        };
+        sim.set_observer(observer);
         let stats = sim.run();
 
         // The full instrumentation stack ran...
@@ -53,9 +66,25 @@ fn check_config(c: Config, key: &'static str) {
             stats.cycles,
             "{w}/{key}: recorder saw every cycle"
         );
-        let spans =
-            SpanCollector::from_box(sim.take_observer().expect("attached")).expect("downcasts");
-        assert_eq!(spans.len() as u64, stats.fetched_instructions);
+        assert_eq!(
+            sim.host_profile().expect("profiling enabled").cycles,
+            stats.cycles,
+            "{w}/{key}: profiler saw every cycle"
+        );
+        let observer = sim.take_observer().expect("attached");
+        let fetched = match slot {
+            Slot::PipeView => PipeView::from_box(observer).expect("downcasts").len() as u64,
+            Slot::Telemetry => {
+                let tel = TelemetryObserver::from_box(observer).expect("downcasts");
+                let (_, n) = tel
+                    .registry()
+                    .counters()
+                    .find(|(n, _)| *n == "fetched")
+                    .expect("fetched counter registered");
+                n
+            }
+        };
+        assert_eq!(fetched, stats.fetched_instructions, "{w}/{key}: fetched");
 
         // ...and the stats are still byte-identical to the committed
         // golden snapshot produced by an uninstrumented run.
@@ -66,15 +95,20 @@ fn check_config(c: Config, key: &'static str) {
 
 #[test]
 fn instrumented_monopath_matches_golden() {
-    check_config(Config::Monopath, "monopath");
+    check_config(Config::Monopath, "monopath", Slot::PipeView);
 }
 
 #[test]
 fn instrumented_see_jrs_matches_golden() {
-    check_config(Config::SeeJrs, "see_jrs");
+    check_config(Config::SeeJrs, "see_jrs", Slot::PipeView);
+}
+
+#[test]
+fn telemetry_see_jrs_matches_golden() {
+    check_config(Config::SeeJrs, "see_jrs", Slot::Telemetry);
 }
 
 #[test]
 fn instrumented_dual_jrs_matches_golden() {
-    check_config(Config::DualJrs, "dual_jrs");
+    check_config(Config::DualJrs, "dual_jrs", Slot::PipeView);
 }

@@ -350,6 +350,7 @@ mod tests {
                 fetching_paths: 1,
                 window_occupancy: 0,
                 frontend_occupancy: 0,
+                ..CycleSample::default()
             });
         }
         let cycles: Vec<u64> = ts.rows().iter().map(|r| r.cycle).collect();

@@ -395,6 +395,7 @@ mod tests {
             fetching_paths: 1,
             window_occupancy: 17,
             frontend_occupancy: 4,
+            ..CycleSample::default()
         });
         let mut buf = Vec::new();
         assert_eq!(write_timeseries_csv(&mut buf, &ts).unwrap(), 1);

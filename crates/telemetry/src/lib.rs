@@ -13,7 +13,12 @@
 //!   machine-state [`TimeSeries`];
 //! * **exporters** — JSON Lines metrics, CSV time series, and a Chrome
 //!   trace-event file (load it in `chrome://tracing` or Perfetto) built
-//!   from the [`pp_core::PipeEvent`] stream;
+//!   from the [`pp_core::PipeEvent`] stream. Every instruction reaches
+//!   the trace through one mapping, [`ChromeTrace::lifecycle`], over
+//!   its [`pp_core::InstSpan`]: [`TelemetryObserver`] applies it as each
+//!   instruction retires (and, at [`TelemetryObserver::seal`], to the
+//!   ones still in flight), and [`ChromeTrace::from_pipeview`] applies
+//!   it to every span a [`pp_core::PipeView`] kept;
 //! * glue for **host-side self-profiling** ([`pp_core::HostProfile`]):
 //!   the simulator's own phase timings and simulated-KIPS rate ride
 //!   along in the metrics artifact. The same KIPS figure is what the

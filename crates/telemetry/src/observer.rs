@@ -7,13 +7,14 @@ use std::collections::HashMap;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use pp_core::{CycleSample, HostProfile, KillStage, PipeEvent, PipelineObserver, SimStats};
-use pp_isa::Op;
+use pp_core::{
+    CycleSample, HostProfile, InstSpan, KillStage, PipeEvent, PipelineObserver, SimStats,
+};
 
 use crate::attribution::{BranchTable, PathTable, TimeSeries};
 use crate::export;
 use crate::registry::{CounterId, HistId, Registry};
-use crate::trace::{ChromeTrace, DEFAULT_MAX_TRACE_EVENTS};
+use crate::trace::{op_name, ChromeTrace, DEFAULT_MAX_TRACE_EVENTS};
 
 /// Knobs for [`TelemetryObserver`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -31,19 +32,6 @@ impl Default for TelemetryConfig {
             max_trace_events: DEFAULT_MAX_TRACE_EVENTS,
         }
     }
-}
-
-/// Where one instruction currently is (pruned at commit/kill, so the
-/// map is bounded by the number of in-flight instructions).
-#[derive(Debug, Clone, Copy)]
-struct Inflight {
-    pc: usize,
-    tid: u32,
-    op: Op,
-    fetched: u64,
-    dispatched: Option<u64>,
-    issued: Option<u64>,
-    completed: Option<u64>,
 }
 
 /// Artifact paths written by [`TelemetryObserver::write_artifacts`].
@@ -64,7 +52,9 @@ pub struct TelemetryObserver {
     paths: PathTable,
     series: TimeSeries,
     trace: ChromeTrace,
-    inflight: HashMap<u64, Inflight>,
+    /// Spans of the instructions in flight, pruned at commit or kill so
+    /// the map stays bounded by the machine's capacity.
+    inflight: HashMap<u64, InstSpan>,
     last_cycle: u64,
 
     c_events: CounterId,
@@ -148,47 +138,31 @@ impl TelemetryObserver {
         &self.trace
     }
 
-    /// Close still-open path generations (call once, after the run).
+    /// Close still-open path generations and trace the instructions
+    /// still in flight (outcome `in-flight`, ending one cycle after the
+    /// last event). Call once, after the run; a second call is a no-op.
     pub fn seal(&mut self) {
         self.paths.close_all();
+        let mut open: Vec<InstSpan> = self.inflight.drain().map(|(_, s)| s).collect();
+        open.sort_unstable_by_key(|s| s.fid);
+        for s in &open {
+            self.trace.lifecycle(s, self.last_cycle + 1);
+        }
     }
 
-    /// Emit the stage spans for a finished instruction.
-    fn finish_inst(&mut self, fid: u64, end: u64, outcome: &'static str) {
-        let Some(i) = self.inflight.remove(&fid) else {
+    /// An instruction committed or was killed: fold its latencies into
+    /// the histograms and its stages into the trace.
+    fn retire(&mut self, fid: u64) {
+        let Some(s) = self.inflight.remove(&fid) else {
             return;
         };
-        let name = format!("{} @{}", i.op, i.pc);
-        let args = vec![
-            ("fid", fid.to_string()),
-            ("outcome", format!("\"{outcome}\"")),
-        ];
-        let d = i.dispatched.unwrap_or(end);
-        self.trace
-            .span(name.clone(), "fetch", i.tid, i.fetched, d.min(end), vec![]);
-        if let Some(d) = i.dispatched {
-            let iss = i.issued.unwrap_or(end);
-            self.trace
-                .span(name.clone(), "window", i.tid, d, iss.min(end), vec![]);
+        if let (Some(i), Some(c)) = (s.issued, s.completed) {
+            self.registry.observe(self.h_exec_latency, c - i);
         }
-        if let Some(iss) = i.issued {
-            let c = i.completed.unwrap_or(end);
-            self.trace
-                .span(name.clone(), "exec", i.tid, iss, c.min(end), vec![]);
-            if let Some(c) = i.completed {
-                self.registry.observe(self.h_exec_latency, c - iss);
-            }
+        if let Some(c) = s.committed {
+            self.registry.observe(self.h_commit_latency, c - s.fetched);
         }
-        if let Some(c) = i.completed {
-            self.trace.span(name, "retire-wait", i.tid, c, end, args);
-        } else {
-            self.trace
-                .instant(format!("{outcome} {} @{}", i.op, i.pc), outcome, i.tid, end);
-        }
-        if outcome == "commit" {
-            self.registry
-                .observe(self.h_commit_latency, end - i.fetched);
-        }
+        self.trace.lifecycle(&s, self.last_cycle + 1);
     }
 
     /// Seal and write the three artifacts into `dir` as
@@ -247,28 +221,16 @@ impl PipelineObserver for TelemetryObserver {
     fn event(&mut self, ev: &PipeEvent) {
         self.registry.inc(self.c_events, 1);
         self.last_cycle = self.last_cycle.max(ev.cycle());
+        if let PipeEvent::Fetched { fid, .. } = *ev {
+            self.inflight.insert(fid.0, InstSpan::new(fid));
+        }
+        if let Some(s) = self.inflight.get_mut(&ev.fid().0) {
+            s.apply(ev);
+        }
         match *ev {
-            PipeEvent::Fetched {
-                cycle,
-                fid,
-                pc,
-                path,
-                op,
-            } => {
+            PipeEvent::Fetched { cycle, path, .. } => {
                 self.registry.inc(self.c_fetched, 1);
                 self.paths.record_fetch(path, cycle);
-                self.inflight.insert(
-                    fid.0,
-                    Inflight {
-                        pc,
-                        tid: path.index() as u32,
-                        op,
-                        fetched: cycle,
-                        dispatched: None,
-                        issued: None,
-                        completed: None,
-                    },
-                );
             }
             PipeEvent::Diverged {
                 cycle,
@@ -283,27 +245,15 @@ impl PipelineObserver for TelemetryObserver {
                 self.paths.close(taken_path);
                 self.paths.touch(taken_path, cycle);
                 if let Some(b) = self.inflight.get(&branch.0) {
-                    let (tid, pc, op) = (b.tid, b.pc, b.op);
+                    let (tid, pc, op) = (b.path, b.pc, op_name(b));
                     self.branches.record_divergence(pc);
                     self.trace
                         .instant(format!("diverge {op} @{pc}"), "diverge", tid, cycle);
                 }
             }
-            PipeEvent::Dispatched { cycle, fid, .. } => {
-                if let Some(i) = self.inflight.get_mut(&fid.0) {
-                    i.dispatched = Some(cycle);
-                }
-            }
-            PipeEvent::Issued { cycle, fid } => {
-                if let Some(i) = self.inflight.get_mut(&fid.0) {
-                    i.issued = Some(cycle);
-                }
-            }
-            PipeEvent::Completed { cycle, fid } => {
-                if let Some(i) = self.inflight.get_mut(&fid.0) {
-                    i.completed = Some(cycle);
-                }
-            }
+            PipeEvent::Dispatched { .. }
+            | PipeEvent::Issued { .. }
+            | PipeEvent::Completed { .. } => {}
             PipeEvent::Resolved {
                 cycle,
                 fid,
@@ -313,7 +263,7 @@ impl PipelineObserver for TelemetryObserver {
             } => {
                 self.registry.inc(self.c_resolved, 1);
                 if let Some(i) = self.inflight.get(&fid.0) {
-                    let (pc, tid, op) = (i.pc, i.tid, i.op);
+                    let (pc, tid, op) = (i.pc, i.path, op_name(i));
                     self.branches
                         .record_resolution(pc, mispredicted, diverged, conf_low);
                     if mispredicted {
@@ -329,7 +279,7 @@ impl PipelineObserver for TelemetryObserver {
             }
             PipeEvent::Redirected { cycle, branch, pc } => {
                 self.registry.inc(self.c_redirects, 1);
-                let tid = self.inflight.get(&branch.0).map_or(0, |i| i.tid);
+                let tid = self.inflight.get(&branch.0).map_or(0, |i| i.path);
                 self.trace
                     .instant(format!("redirect → @{pc}"), "redirect", tid, cycle);
             }
@@ -340,13 +290,13 @@ impl PipelineObserver for TelemetryObserver {
                 }
                 if let Some(i) = self.inflight.get(&fid.0) {
                     // Attribute the killed work to the path it ran on.
-                    self.paths.record_kill_slot(i.tid, cycle);
+                    self.paths.record_kill_slot(i.path, cycle);
                 }
-                self.finish_inst(fid.0, cycle, "kill");
+                self.retire(fid.0);
             }
-            PipeEvent::Committed { cycle, fid } => {
+            PipeEvent::Committed { fid, .. } => {
                 self.registry.inc(self.c_committed, 1);
-                self.finish_inst(fid.0, cycle, "commit");
+                self.retire(fid.0);
             }
         }
     }
@@ -361,6 +311,7 @@ mod tests {
     use super::*;
     use pp_core::FetchId;
     use pp_ctx::PathTable as CtxPathTable;
+    use pp_isa::Op;
 
     fn pid() -> pp_ctx::PathId {
         let mut t: CtxPathTable<()> = CtxPathTable::new(1);

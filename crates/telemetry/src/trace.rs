@@ -7,6 +7,18 @@
 //! divergences, kills, mispredict resolutions, recovery redirects. One
 //! simulated cycle is one microsecond of trace time, so Perfetto's
 //! duration labels read directly as cycle counts.
+//!
+//! An instruction's stages come from its [`InstSpan`] through one
+//! mapping, [`ChromeTrace::lifecycle`], whichever observer kept the span:
+//! [`crate::TelemetryObserver`] at retirement, or
+//! [`ChromeTrace::from_pipeview`] over a finished [`PipeView`].
+
+use pp_core::{InstSpan, PipeView};
+
+/// The span's instruction as trace names print it (`?` before fetch).
+pub(crate) fn op_name(s: &InstSpan) -> String {
+    s.op.map_or_else(|| "?".to_string(), |o| o.to_string())
+}
 
 /// One trace event, pre-flattened to the fields the JSON needs.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -101,6 +113,52 @@ impl ChromeTrace {
             tid,
             args: Vec::new(),
         });
+    }
+
+    /// Append one instruction's lifecycle: a span per stage it occupied
+    /// (`fetch` → `window` → `exec` → `retire-wait`, the last only when
+    /// it lasts a cycle or more), named `{stage} {op} @{pc}` and carrying
+    /// an `outcome` arg (plus `ctx` when the span has a CTX tag), and a
+    /// `kill` instant for a killed instruction. A span still in flight
+    /// ends at `end_of_run`.
+    pub fn lifecycle(&mut self, s: &InstSpan, end_of_run: u64) {
+        let op = op_name(s);
+        let name = |stage: &str| format!("{stage} {op} @{}", s.pc);
+        let mut args = vec![("outcome", format!("\"{}\"", s.outcome()))];
+        if let Some(c) = s.ctx {
+            args.push(("ctx", format!("\"{}\"", c.annotate())));
+        }
+        let end = s.retired().unwrap_or(end_of_run);
+        let mut stage = |stage: &'static str, start: u64, stop: Option<u64>| {
+            let stop = stop.unwrap_or(end);
+            self.span(name(stage), stage, s.path, start, stop, args.clone());
+        };
+        stage("fetch", s.fetched, s.dispatched);
+        if let Some(d) = s.dispatched {
+            stage("window", d, s.issued);
+        }
+        if let Some(i) = s.issued {
+            stage("exec", i, s.completed);
+        }
+        if let Some(c) = s.completed {
+            if end > c {
+                stage("retire-wait", c, None);
+            }
+        }
+        if let Some(k) = s.killed {
+            self.instant(name("kill"), "kill", s.path, k);
+        }
+    }
+
+    /// The Chrome trace of every span a [`PipeView`] kept, capped at
+    /// `max_events` (see [`DEFAULT_MAX_TRACE_EVENTS`]); spans still in
+    /// flight end one cycle after the last observed event.
+    pub fn from_pipeview(view: &PipeView, max_events: usize) -> Self {
+        let mut t = Self::with_capacity(max_events);
+        for s in view.iter() {
+            t.lifecycle(s, view.last_cycle() + 1);
+        }
+        t
     }
 
     /// Events recorded so far (metadata not included; the exporter
