@@ -124,8 +124,6 @@ pub const HOT_LOOP_FNS: &[&str] = &[
     "do_issue",
     "do_dispatch",
     "dispatch_one",
-    "frontend_unpop",
-    "make_branch_info",
     "do_fetch",
     "fetch_arbitrate",
     "fetch_path",

@@ -6,12 +6,12 @@
 //! return-address stack, oracle-trace cursor) and — once valid — the
 //! path's active register map (§3.2.5).
 //!
-//! The fetch→rename queue uses the same structure-of-arrays layout as the
-//! instruction window (see the `window` module docs): a power-of-two ring
-//! of latch records addressed by monotone queue indices, plus a live
-//! bitmask that prunes the resolution kill scan and carries corpse
-//! status. Latch tags are lazy — the per-slot epoch test runs only at
-//! kill events, never per instruction.
+//! The fetch→rename queue uses the same layout as the instruction window
+//! (see the `window` module docs): a power-of-two ring of latch records
+//! addressed by monotone queue indices, plus a live bitmask that prunes
+//! the resolution kill scan and carries corpse status. Latch tags are
+//! lazy — the per-slot epoch test runs only at kill events, never per
+//! instruction.
 
 use pp_ctx::{CtxTag, PathId, ResolutionKill};
 use pp_isa::Op;
@@ -59,39 +59,11 @@ pub struct PathCtx {
     pub merged_at: Option<usize>,
 }
 
-/// Branch bookkeeping attached to a fetched conditional branch or return.
-#[derive(Debug, Clone)]
-pub struct FetchBranchInfo {
-    /// `true` for `ret`.
-    pub is_return: bool,
-    /// Predicted direction (`true` for returns).
-    pub predicted_taken: bool,
-    /// PC fetch continued at on the predicted path.
-    pub predicted_target: usize,
-    /// CTX history position allocated to this branch.
-    pub position: usize,
-    /// SEE created a divergence here.
-    pub diverged: bool,
-    /// The confidence estimate was low.
-    pub conf_low: bool,
-    /// Global history at prediction time.
-    pub ghr_at_predict: u64,
-    /// RAS state after this instruction's fetch effect (recovery state).
-    pub ras_checkpoint: Ras,
-    /// Oracle: the fetching path was on the correct execution path.
-    pub was_on_correct: bool,
-    /// Oracle trace index *after* this branch.
-    pub oracle_idx_after: usize,
-    /// Divergence only: the path slot created for the taken successor
-    /// (the fetching slot itself continues as the not-taken successor).
-    pub taken_path: Option<pp_ctx::PathId>,
-}
-
-/// An instruction travelling through the in-order front-end, as a
-/// materialized record — the transfer format at the queue boundaries
-/// (fetch builds one for [`FrontEnd::push`], rename receives one from
-/// [`FrontEnd::pop_ready`]); inside the queue the fields live column-wise.
-#[derive(Debug, Clone)]
+/// An instruction travelling through the in-order front-end: one latch
+/// record. Fetch writes it into its latch ([`FrontEnd::push`]); rename reads
+/// it there ([`FrontEnd::ready_head`]) and copies it into a window slot
+/// before releasing the latch ([`FrontEnd::pop_head`]).
+#[derive(Debug, Clone, Copy)]
 pub struct FetchedInst {
     /// Unique fetch identity (observer correlation across stages).
     pub fid: crate::observer::FetchId,
@@ -112,43 +84,36 @@ pub struct FetchedInst {
     /// Cycle the instruction was fetched (dispatch happens
     /// `frontend_latency` cycles later).
     pub fetch_cycle: u64,
-    /// Branch bookkeeping. Boxed: it is the largest field by far and most
-    /// instructions are not branches, so keeping it out of line shrinks
-    /// every queue transfer.
-    pub binfo: Option<Box<FetchBranchInfo>>,
-    /// Squashed while queued.
+    /// CTX history position of a conditional branch or indirect jump: the
+    /// key of its branch record, which the simulator keeps in a table
+    /// with one entry per position.
+    pub branch: Option<u8>,
+    /// Squashed while queued (mirrors the queue's live bitmask).
     pub killed: bool,
 }
 
-/// Read-only view of one occupied queue latch (live or corpse), yielded
-/// by the kill callback and the sanitizer's [`FrontEnd::debug_iter`].
-pub struct FrontRef<'a> {
-    /// Fetch identity.
-    pub fid: FetchId,
-    /// Static PC.
-    pub pc: usize,
-    /// The instruction.
-    pub op: Op,
-    /// Lazy CTX tag snapshot (see [`FetchedInst::ctx`]).
-    pub ctx: CtxTag,
-    /// Free-epoch stamp for the snapshot (see [`FetchedInst::born`]).
-    pub born: u64,
-    /// Fetching path.
-    pub path: PathId,
-    /// Fetch cycle.
-    pub fetch_cycle: u64,
-    /// Branch bookkeeping.
-    pub binfo: Option<&'a FetchBranchInfo>,
-    /// Squashed while queued.
-    pub killed: bool,
+impl FetchedInst {
+    fn vacant() -> FetchedInst {
+        FetchedInst {
+            fid: FetchId(0),
+            pc: 0,
+            op: Op::Nop,
+            ctx: CtxTag::root(),
+            born: 0,
+            path: PathId::from_index(0),
+            fetch_cycle: 0,
+            branch: None,
+            killed: false,
+        }
+    }
 }
 
 /// The in-order front-end pipe between fetch and rename: a bounded FIFO
 /// whose entries become eligible for rename `frontend_latency` cycles
 /// after fetch. Its capacity models the fetch/decode stage latches.
 ///
-/// SoA form: a power-of-two ring of latch records addressed by monotone
-/// queue indices (`slot = index & ring_mask`), with a live bitmask (killed
+/// A power-of-two ring of latch records addressed by monotone queue
+/// indices (`slot = index & ring_mask`), with a live bitmask (killed
 /// instructions stay in their latches as corpses until rename drops them,
 /// as in hardware) that prunes the kill broadcast's scan, exactly as on
 /// the window.
@@ -162,43 +127,15 @@ pub struct FrontEnd {
     capacity: usize,
     ring_mask: usize,
 
-    /// Latch payload records, `ring_mask + 1` long (one contiguous record
-    /// per slot, for the same cache-locality reason as the window's
-    /// `Slot`: every access wants most fields at once).
-    slots: Vec<Latch>,
+    /// Latch records, `ring_mask + 1` long (one contiguous record per
+    /// slot, for the same cache-locality reason as the window's: every
+    /// access wants most fields at once).
+    slots: Vec<FetchedInst>,
 
     /// Bit per slot: occupied and not killed.
     pub(crate) live_words: Vec<u64>,
     /// Snapshot scratch for the kill scan.
     kill_scratch: Vec<u64>,
-}
-
-/// One fetch-queue latch's field bundle.
-#[derive(Debug)]
-struct Latch {
-    fid: FetchId,
-    pc: usize,
-    op: Op,
-    ctx: CtxTag,
-    born: u64,
-    path: PathId,
-    fetch_cycle: u64,
-    binfo: Option<Box<FetchBranchInfo>>,
-}
-
-impl Latch {
-    fn vacant() -> Latch {
-        Latch {
-            fid: FetchId(0),
-            pc: 0,
-            op: Op::Nop,
-            ctx: CtxTag::root(),
-            born: 0,
-            path: PathId::from_index(0),
-            fetch_cycle: 0,
-            binfo: None,
-        }
-    }
 }
 
 impl FrontEnd {
@@ -215,7 +152,7 @@ impl FrontEnd {
             tail: 0,
             capacity,
             ring_mask: ring_len - 1,
-            slots: (0..ring_len).map(|_| Latch::vacant()).collect(),
+            slots: vec![FetchedInst::vacant(); ring_len],
             live_words: vec![0; words],
             kill_scratch: vec![0; words],
         }
@@ -259,107 +196,63 @@ impl FrontEnd {
         self.ring_mask + 1
     }
 
-    fn scatter(&mut self, slot: usize, inst: FetchedInst) {
-        debug_assert!(!inst.killed);
-        debug_assert!(!self.live_bit(slot), "latch collision");
-        self.slots[slot] = Latch {
-            fid: inst.fid,
-            pc: inst.pc,
-            op: inst.op,
-            ctx: inst.ctx,
-            born: inst.born,
-            path: inst.path,
-            fetch_cycle: inst.fetch_cycle,
-            binfo: inst.binfo,
-        };
-        self.live_words[slot / 64] |= 1u64 << (slot % 64);
-    }
-
-    /// Enqueue a fetched instruction.
+    /// Enqueue a fetched instruction, written straight into its latch.
     ///
     /// # Panics
     /// Panics if the front-end is full.
+    #[inline]
     pub fn push(&mut self, inst: FetchedInst) {
         assert!(!self.is_full(), "front-end overflow");
+        debug_assert!(!inst.killed);
         let slot = self.tail as usize & self.ring_mask;
+        debug_assert!(!self.live_bit(slot), "latch collision");
         self.tail += 1;
-        self.scatter(slot, inst);
+        self.slots[slot] = inst;
+        self.live_words[slot / 64] |= 1u64 << (slot % 64);
     }
 
-    /// Put an instruction back at the head (a structural dispatch stall —
-    /// the instruction stays in the last front-end latch). Exempt from the
-    /// capacity check, since the instruction just came out of the queue.
-    pub fn push_front(&mut self, inst: FetchedInst) {
-        debug_assert!(self.head > 0, "push_front without a preceding pop");
-        debug_assert!(self.len() < self.ring_mask + 1, "latch ring full");
-        self.head -= 1;
-        let slot = self.head as usize & self.ring_mask;
-        self.scatter(slot, inst);
-    }
-
-    /// Gather the head latch into a `FetchedInst` and release it.
-    fn evict_front(&mut self) -> FetchedInst {
-        let slot = self.head as usize & self.ring_mask;
-        let killed = !self.live_bit(slot);
-        self.live_words[slot / 64] &= !(1u64 << (slot % 64));
-        self.head += 1;
-        let s = &mut self.slots[slot];
-        FetchedInst {
-            fid: s.fid,
-            pc: s.pc,
-            op: s.op,
-            ctx: s.ctx,
-            born: s.born,
-            path: s.path,
-            fetch_cycle: s.fetch_cycle,
-            binfo: s.binfo.take(),
-            killed,
-        }
-    }
-
-    /// The oldest instruction, if it has spent `latency` cycles in the
-    /// front-end by cycle `now` (killed instructions are dropped on the
-    /// way and returned via the `dropped` callback).
-    pub fn pop_ready(
+    /// The oldest live instruction, borrowed in its latch, if it has spent
+    /// `latency` cycles in the front-end by cycle `now`. Killed
+    /// instructions ahead of it are released on the way and reported to
+    /// `dropped`. The latch stays occupied until [`pop_head`](Self::pop_head)
+    /// (a rename stalled on a structural resource simply leaves it there).
+    #[inline]
+    pub fn ready_head(
         &mut self,
         now: u64,
         latency: u64,
         mut dropped: impl FnMut(&FetchedInst),
-    ) -> Option<FetchedInst> {
+    ) -> Option<&FetchedInst> {
         while self.head != self.tail {
             let slot = self.head as usize & self.ring_mask;
             if !self.live_bit(slot) {
-                let dead = self.evict_front();
-                dropped(&dead);
+                self.head += 1;
+                dropped(&self.slots[slot]);
                 continue;
             }
-            if self.slots[slot].fetch_cycle + latency <= now {
-                return Some(self.evict_front());
-            }
-            return None;
+            let inst = &self.slots[slot];
+            return (inst.fetch_cycle + latency <= now).then_some(inst);
         }
         None
     }
 
-    fn latch_ref(&self, slot: usize) -> FrontRef<'_> {
-        let s = &self.slots[slot];
-        FrontRef {
-            fid: s.fid,
-            pc: s.pc,
-            op: s.op,
-            ctx: s.ctx,
-            born: s.born,
-            path: s.path,
-            fetch_cycle: s.fetch_cycle,
-            binfo: s.binfo.as_deref(),
-            killed: !self.live_bit(slot),
-        }
+    /// Release the head latch once rename has copied it out.
+    ///
+    /// # Panics
+    /// Panics if the front-end is empty.
+    #[inline]
+    pub fn pop_head(&mut self) {
+        assert!(self.head != self.tail, "pop from empty front-end");
+        let slot = self.head as usize & self.ring_mask;
+        debug_assert!(self.live_bit(slot), "popping a corpse");
+        self.live_words[slot / 64] &= !(1u64 << (slot % 64));
+        self.head += 1;
     }
 
     /// Every queued instruction — corpses included — oldest first. For the
     /// sanitizer; not part of the pipeline.
-    pub(crate) fn debug_iter(&self) -> impl Iterator<Item = FrontRef<'_>> {
-        (self.head..self.tail).map(|idx| self.latch_ref(idx as usize & self.ring_mask))
+    pub(crate) fn debug_iter(&self) -> impl Iterator<Item = &FetchedInst> {
+        (self.head..self.tail).map(|idx| &self.slots[idx as usize & self.ring_mask])
     }
 
     /// Resolution bus over the front-end latches: mark wrong-path
@@ -368,7 +261,7 @@ impl FrontEnd {
     /// predicate (whose epoch filter spares stale leftover bits). The
     /// callback sees each newly killed instruction (to release CTX
     /// positions held by killed branches).
-    pub fn kill_matching(&mut self, kill: &ResolutionKill, mut on_kill: impl FnMut(FrontRef<'_>)) {
+    pub fn kill_matching(&mut self, kill: &ResolutionKill, mut on_kill: impl FnMut(&FetchedInst)) {
         let mut snapshot = std::mem::take(&mut self.kill_scratch);
         snapshot.copy_from_slice(&self.live_words);
         for_each_masked_slot(
@@ -377,12 +270,13 @@ impl FrontEnd {
             self.ring_mask,
             &snapshot,
             |slot, _| {
-                let s = &self.slots[slot];
+                let s = &mut self.slots[slot];
                 if !kill.matches(&s.ctx, s.born) {
                     return;
                 }
+                s.killed = true;
                 self.live_words[slot / 64] &= !(1u64 << (slot % 64));
-                on_kill(self.latch_ref(slot));
+                on_kill(s);
             },
         );
         self.kill_scratch = snapshot;
@@ -408,7 +302,7 @@ mod tests {
             born,
             path: t.allocate(()).unwrap(),
             fetch_cycle: cycle,
-            binfo: None,
+            branch: None,
             killed: false,
         }
     }
@@ -417,12 +311,26 @@ mod tests {
         fe.push(i);
     }
 
+    /// Take the ready head out of the queue, as rename does.
+    fn pop_ready(
+        fe: &mut FrontEnd,
+        now: u64,
+        latency: u64,
+        dropped: impl FnMut(&FetchedInst),
+    ) -> Option<FetchedInst> {
+        let inst = fe.ready_head(now, latency, dropped).copied();
+        if inst.is_some() {
+            fe.pop_head();
+        }
+        inst
+    }
+
     #[test]
     fn latency_gates_pop() {
         let mut fe = FrontEnd::new(8);
         push(&mut fe, inst(0, CtxTag::root(), 10));
-        assert!(fe.pop_ready(12, 5, |_| ()).is_none());
-        assert!(fe.pop_ready(15, 5, |_| ()).is_some());
+        assert!(pop_ready(&mut fe, 12, 5, |_| ()).is_none());
+        assert!(pop_ready(&mut fe, 15, 5, |_| ()).is_some());
     }
 
     #[test]
@@ -430,8 +338,8 @@ mod tests {
         let mut fe = FrontEnd::new(8);
         push(&mut fe, inst(1, CtxTag::root(), 0));
         push(&mut fe, inst(2, CtxTag::root(), 0));
-        assert_eq!(fe.pop_ready(100, 1, |_| ()).unwrap().pc, 1);
-        assert_eq!(fe.pop_ready(100, 1, |_| ()).unwrap().pc, 2);
+        assert_eq!(pop_ready(&mut fe, 100, 1, |_| ()).unwrap().pc, 1);
+        assert_eq!(pop_ready(&mut fe, 100, 1, |_| ()).unwrap().pc, 2);
         assert!(fe.is_empty());
     }
 
@@ -450,7 +358,7 @@ mod tests {
         fe.kill_matching(&kill, |_| killed += 1);
         assert_eq!(killed, 1);
         let mut dropped = 0;
-        let popped = fe.pop_ready(100, 1, |_| dropped += 1).unwrap();
+        let popped = pop_ready(&mut fe, 100, 1, |_| dropped += 1).unwrap();
         assert_eq!(popped.pc, 2);
         assert_eq!(dropped, 1);
     }
@@ -464,18 +372,16 @@ mod tests {
     }
 
     #[test]
-    fn push_front_restores_the_head() {
+    fn stalled_head_stays_queued() {
         let mut fe = FrontEnd::new(2);
         let t = CtxTag::root().with_position(0, true);
         push(&mut fe, inst(1, t, 0));
         push(&mut fe, inst(2, CtxTag::root(), 0));
-        let popped = fe.pop_ready(100, 1, |_| ()).unwrap();
-        assert_eq!(popped.pc, 1);
-        fe.push_front(popped);
+        // A structural rename stall: the head is read but not popped.
+        assert_eq!(fe.ready_head(100, 1, |_| ()).unwrap().pc, 1);
         assert!(fe.is_full());
-        assert_eq!(fe.pop_ready(100, 1, |_| ()).unwrap().pc, 1);
-        // The re-registration is live again: a kill finds the entry.
-        let reg2 = fe.pop_ready(100, 1, |_| ()).unwrap();
+        assert_eq!(pop_ready(&mut fe, 100, 1, |_| ()).unwrap().pc, 1);
+        let reg2 = pop_ready(&mut fe, 100, 1, |_| ()).unwrap();
         assert_eq!(reg2.pc, 2);
     }
 
@@ -503,7 +409,10 @@ mod tests {
         let mut fe = FrontEnd::new(3); // ring of 4
         for i in 0..20u64 {
             push(&mut fe, inst(i as usize, CtxTag::root(), i));
-            assert_eq!(fe.pop_ready(i + 10, 1, |_| ()).unwrap().pc, i as usize);
+            assert_eq!(
+                pop_ready(&mut fe, i + 10, 1, |_| ()).unwrap().pc,
+                i as usize
+            );
         }
         assert!(fe.is_empty());
     }

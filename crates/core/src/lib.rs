@@ -120,7 +120,7 @@ pub use pp_predictor::{H2pConfig, MergeConfig, MergeHypothesis};
 /// must NOT bump it (cache reuse across such commits is the point).
 pub const BEHAVIOR_REV: u32 = 1;
 pub use flight::{FlightRecorder, DEFAULT_FLIGHT_DEPTH};
-pub use frontend::{FetchBranchInfo, FetchedInst, FrontEnd, PathCtx};
+pub use frontend::{FetchedInst, FrontEnd, PathCtx};
 pub use fus::{eligible_units, is_unpipelined, latency, FuClass, FuPool};
 pub use observer::{
     CommitRecord, CycleSample, FetchId, HeadInfo, InstSpan, KillStage, PipeEvent, PipeView,
@@ -135,6 +135,4 @@ pub use sim::{MergeStats, Simulator};
 pub use stall::{StallCause, StallStack, STALL_CAUSES};
 pub use stats::{FuBusy, SimStats};
 pub use storebuf::{LoadCheck, SbEntry, StoreBuffer};
-pub use window::{
-    BranchInfo, Checkpoint, DestInfo, EntryState, IssueOutcome, MemInfo, Seq, WinEntry, Window,
-};
+pub use window::{DestInfo, EntryState, IssueOutcome, MemInfo, Seq, WinEntry, Window};

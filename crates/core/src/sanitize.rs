@@ -41,7 +41,9 @@
 //! - `divergence-count` — the cached live-divergence counter equals the
 //!   count over live unresolved diverged branches.
 //! - `soa-mask-coherence` — every window issue-candidate bit has a
-//!   matching live bit (candidacy is a refinement of liveness).
+//!   matching live bit (candidacy is a refinement of liveness), and each
+//!   occupied window slot's and front-end latch's `killed` flag is the
+//!   complement of its live bit.
 //! - `soa-slot-conservation` — the live counters equal the popcounts of
 //!   the live bitmasks and the occupied span never exceeds the ring.
 //! - `soa-stale-bits` — no status bit survives on a slot outside the
@@ -60,7 +62,7 @@ use pp_isa::Op;
 
 use super::Simulator;
 use crate::regfile::PhysReg;
-use crate::window::{EntryRef, EntryState, Seq};
+use crate::window::{EntryState, Seq, WinEntry};
 
 /// One violated structural invariant, cycle-stamped.
 #[derive(Debug, Clone)]
@@ -161,15 +163,15 @@ impl Simulator {
         let mut owners = vec![0u32; self.positions.capacity()];
         for (e, _) in self.window.debug_iter() {
             if !e.killed {
-                if let Some(b) = e.binfo {
-                    owners[b.position] += 1;
+                if let Some(pos) = e.branch {
+                    owners[usize::from(pos)] += 1;
                 }
             }
         }
         for inst in self.frontend.debug_iter() {
             if !inst.killed {
-                if let Some(b) = inst.binfo {
-                    owners[b.position] += 1;
+                if let Some(pos) = inst.branch {
+                    owners[usize::from(pos)] += 1;
                 }
             }
         }
@@ -222,7 +224,7 @@ impl Simulator {
     /// Window bookkeeping: the issue-candidate bitmap, the wakeup lists,
     /// and the completion ring against the entries they mirror.
     fn sanitize_window(&self, out: &mut Vec<Violation>) {
-        let mut live: HashMap<Seq, EntryRef<'_>> = HashMap::new();
+        let mut live: HashMap<Seq, &WinEntry> = HashMap::new();
 
         for (e, candidate) in self.window.debug_iter() {
             let expect = !e.killed
@@ -388,6 +390,20 @@ impl Simulator {
             );
         }
 
+        let bit = |words: &[u64], slot: usize| words[slot / 64] & (1u64 << (slot % 64)) != 0;
+        for (e, _) in self.window.debug_iter() {
+            if e.killed == bit(&self.window.live_words, e.seq as usize & ring_mask) {
+                self.report(
+                    out,
+                    "soa-mask-coherence",
+                    format!(
+                        "window seq {} killed flag {} disagrees with its live bit",
+                        e.seq, e.killed
+                    ),
+                );
+            }
+        }
+
         for (w, &occ) in occupied.iter().enumerate() {
             let live = self.window.live_words.get(w).copied().unwrap_or(0);
             let ready = self.window.ready_words.get(w).copied().unwrap_or(0);
@@ -438,6 +454,18 @@ impl Simulator {
             .iter()
             .map(|w| w.count_ones() as usize)
             .sum();
+        for (idx, inst) in (head..tail).zip(self.frontend.debug_iter()) {
+            if inst.killed == bit(&self.frontend.live_words, idx as usize & ring_mask) {
+                self.report(
+                    out,
+                    "soa-mask-coherence",
+                    format!(
+                        "front-end fid {} killed flag {} disagrees with its live bit",
+                        inst.fid.0, inst.killed
+                    ),
+                );
+            }
+        }
         let live_latches = self.frontend.debug_iter().filter(|i| !i.killed).count();
         if live_pop != live_latches {
             self.report(
@@ -546,8 +574,12 @@ impl Simulator {
                 referenced[d.new.0 as usize] = true;
                 referenced[d.old.0 as usize] = true;
             }
-            if let Some(cp) = e.binfo.and_then(|b| b.checkpoint.as_ref()) {
-                for &r in cp.regmap.raw() {
+            let branch = e.branch.map(|pos| &self.branches[usize::from(pos)]);
+            if let Some(cp) = branch
+                .filter(|b| !b.resolved)
+                .and_then(|b| b.checkpoint.as_ref())
+            {
+                for &r in cp.raw() {
                     referenced[r as usize] = true;
                 }
             }
@@ -588,7 +620,8 @@ impl Simulator {
             if e.killed {
                 continue;
             }
-            if let Some(b) = e.binfo {
+            if let Some(pos) = e.branch {
+                let b = &self.branches[usize::from(pos)];
                 if b.diverged && !b.resolved {
                     divergences += 1;
                 }
@@ -608,10 +641,11 @@ impl Simulator {
             if inst.killed {
                 continue;
             }
-            if let Some(b) = inst.binfo {
-                if b.diverged {
-                    divergences += 1;
-                }
+            if inst
+                .branch
+                .is_some_and(|pos| self.branches[usize::from(pos)].diverged)
+            {
+                divergences += 1;
             }
             if inst.born > tick {
                 self.report(
@@ -649,8 +683,8 @@ impl Simulator {
     /// The CTX merge action's state: records against the allocator and
     /// their owning forks, parked paths against their records.
     fn sanitize_merge(&self, out: &mut Vec<Violation>) {
-        for (pos, rec) in self.merge_records.iter().enumerate() {
-            let Some(rec) = rec else { continue };
+        for (pos, b) in self.branches.iter().enumerate() {
+            let Some(rec) = &b.merge else { continue };
             if self.merge_pred.is_none() {
                 self.report(
                     out,
@@ -670,18 +704,16 @@ impl Simulator {
             }
             // Position-ownership already enforces the unique live owner;
             // here: that owner must be a diverged, unresolved fork.
-            let owner_ok = self
-                .window
-                .debug_iter()
-                .filter(|(e, _)| !e.killed)
-                .filter_map(|(e, _)| e.binfo)
-                .any(|b| b.position == pos && b.diverged && !b.resolved)
-                || self
-                    .frontend
+            let owns = |branch: Option<u8>| branch.map(usize::from) == Some(pos);
+            let owner_ok = (b.diverged && !b.resolved)
+                && (self
+                    .window
                     .debug_iter()
-                    .filter(|i| !i.killed)
-                    .filter_map(|i| i.binfo)
-                    .any(|b| b.position == pos && b.diverged);
+                    .any(|(e, _)| !e.killed && owns(e.branch))
+                    || self
+                        .frontend
+                        .debug_iter()
+                        .any(|i| !i.killed && owns(i.branch)));
             if !owner_ok {
                 self.report(
                     out,
@@ -695,7 +727,7 @@ impl Simulator {
             }
         }
 
-        let mut parked_per_pos = vec![0u32; self.merge_records.len()];
+        let mut parked_per_pos = vec![0u32; self.branches.len()];
         for (id, p) in self.paths.iter() {
             let Some(pos) = p.merged_at else { continue };
             if p.fetching {
@@ -705,7 +737,7 @@ impl Simulator {
                     format!("{id} is merge-parked at position {pos} but still fetching"),
                 );
             }
-            if pos >= self.merge_records.len() {
+            if pos >= self.branches.len() {
                 self.report(
                     out,
                     "merge-park",
@@ -714,7 +746,7 @@ impl Simulator {
                 continue;
             }
             parked_per_pos[pos] += 1;
-            match &self.merge_records[pos] {
+            match &self.branches[pos].merge {
                 None => self.report(
                     out,
                     "merge-park",
@@ -884,7 +916,7 @@ mod tests {
         let mut sim = Simulator::new(&p, SimConfig::baseline());
         // Plant a record while merging is off: it is simultaneously
         // predictor-less, on a dead position, and ownerless.
-        sim.merge_records[0] = Some(crate::sim::MergeRecord {
+        sim.branches[0].merge = Some(crate::sim::MergeRecord {
             branch_pc: 4,
             merge_pc: 5,
             first_dir: None,

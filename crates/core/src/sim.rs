@@ -25,20 +25,19 @@ use crate::cache::DCache;
 use crate::check::DiffOracle;
 use crate::config::{ConfidenceKind, ExecMode, FetchPolicy, PredictorKind, SimConfig};
 use crate::flight::FlightRecorder;
-use crate::frontend::{FetchBranchInfo, FetchedInst, FrontEnd, PathCtx};
+use crate::frontend::{FetchedInst, FrontEnd, PathCtx};
 use crate::fus::{self, FuClass, FuPool};
 use crate::observer::{
     CommitRecord, CycleSample, FetchId, HeadInfo, KillStage, PipeEvent, PipelineObserver,
 };
 use crate::oracle::Oracle;
+use crate::ras::Ras;
 use crate::regfile::{PhysReg, PhysRegFile, RegMap};
 use crate::selfprof::{self, HostProfile, Stamp};
 use crate::stall::{StallCause, StallStack};
 use crate::stats::SimStats;
 use crate::storebuf::{LoadCheck, StoreBuffer};
-use crate::window::{
-    BranchInfo, Checkpoint, DestInfo, EntryState, IssueOutcome, MemInfo, Seq, WinEntry, Window,
-};
+use crate::window::{DestInfo, EntryState, IssueOutcome, MemInfo, Seq, WinEntry, Window};
 
 /// Step budget for the functional pre-run that generates oracle traces and
 /// the co-simulation reference.
@@ -111,10 +110,9 @@ pub struct Simulator {
     /// Merge-point predictor ([`SimConfig::merge`]): present iff path
     /// merging is enabled.
     merge_pred: Option<MergePredictor>,
-    /// One slot per CTX position: the reconvergence hypothesis of the
-    /// unresolved fork occupying that position (empty when the position
-    /// holds a non-divergent branch, or merging is off).
-    merge_records: Vec<Option<MergeRecord>>,
+    /// One [`BranchRecord`] per CTX history position, allocated once:
+    /// the record of the branch occupying each position.
+    branches: Vec<BranchRecord>,
     /// Merge-action counters. Outside the golden [`SimStats`] surface —
     /// exposed through [`Simulator::merge_stats`], like the stall stack.
     merge_stats: MergeStats,
@@ -169,9 +167,74 @@ pub struct Simulator {
     waiters: Vec<Vec<Seq>>,
 }
 
+/// Latches and window slots name a branch record by its position as a
+/// `u8`.
+const _: () = assert!(pp_ctx::MAX_POSITIONS <= 1 << u8::BITS);
+
+/// The record of the branch occupying one CTX history position.
+///
+/// A conditional branch or indirect jump owns its position from fetch
+/// until it commits or is killed (paper §3.2.1–3.2.3), and the position is
+/// where its recovery state belongs (§3.1, §3.2.5), so the simulator keeps
+/// exactly one record per position. Fetch writes the whole record; rename
+/// adds the register-map checkpoint; issue, resolution, kill and commit
+/// read and update it by position ([`FetchedInst::branch`],
+/// [`WinEntry::branch`]).
+///
+/// A killed instruction's position is freed by the kill and may be handed
+/// to a new branch the same cycle, so only a live instruction may read
+/// the record its position names: corpses are dropped unread.
+#[derive(Debug, Clone, Default)]
+struct BranchRecord {
+    /// `true` for `ret`/`jr` (target prediction), `false` for conditional
+    /// branches (direction prediction).
+    is_return: bool,
+    /// Predicted direction (conditional) — `true` for returns.
+    predicted_taken: bool,
+    /// PC the front-end continued at.
+    predicted_target: usize,
+    /// Fall-through PC (`pc + 1`).
+    fallthrough: usize,
+    /// Taken-target PC (conditional branches).
+    taken_target: usize,
+    /// SEE diverged on this branch.
+    diverged: bool,
+    /// The confidence estimate was low (even if divergence was not
+    /// possible).
+    conf_low: bool,
+    /// Speculative global history at prediction time (for PHT/JRS update).
+    ghr_at_predict: u64,
+    /// Divergence only: the path created for the taken successor (the
+    /// fetching path itself continues as the not-taken successor).
+    taken_path: Option<PathId>,
+    /// Return-address stack after the branch's own fetch effect (recovery
+    /// state).
+    ras: Ras,
+    /// Oracle: the fetching path was on the architecturally correct path.
+    was_on_correct: bool,
+    /// Oracle trace index of the next conditional branch after this one.
+    oracle_idx_after: usize,
+    /// Register map after renaming everything older than the branch
+    /// (paper §3.1: "a checkpoint of the current contents of the RegMap is
+    /// made"), taken at rename and live until resolution, which recovers
+    /// from it on a misprediction. Never taken for diverged branches:
+    /// they cannot mispredict, both successors execute (§3.2.5).
+    checkpoint: Option<RegMap>,
+    /// The fork's reconvergence hypothesis, while merging tracks it.
+    merge: Option<MergeRecord>,
+    /// Resolution result: actual direction (conditional branches).
+    outcome: Option<bool>,
+    /// Resolution result: actual target (returns).
+    actual_target: Option<usize>,
+    /// Set once the resolution bus has processed this branch.
+    resolved: bool,
+    /// Resolution found the prediction wrong.
+    mispredicted: bool,
+}
+
 /// The reconvergence hypothesis tracked for one unresolved fork: the
-/// CTX-protocol *merge action*'s per-position state. Keyed by the fork's
-/// history position (a live position belongs to exactly one unresolved
+/// CTX-protocol *merge action*'s per-position state, kept in the fork's
+/// [`BranchRecord`] (a live position belongs to exactly one unresolved
 /// branch, the same property the resolution kill leans on).
 #[derive(Debug, Clone, Copy)]
 struct MergeRecord {
@@ -330,7 +393,7 @@ impl Simulator {
             adaptive,
             h2p,
             merge_pred,
-            merge_records: vec![None; cfg.ctx_positions],
+            branches: vec![BranchRecord::default(); cfg.ctx_positions],
             merge_stats: MergeStats::default(),
             oracle,
             checker: cfg.check_commits.then(|| DiffOracle::new(program)),
@@ -642,23 +705,14 @@ impl Simulator {
             // Pentium-Pro variant).
             if self.cfg.resolve_at_commit {
                 let seq = head.seq;
-                let unresolved = head.binfo.as_ref().is_some_and(|b| !b.resolved);
+                let unresolved = head
+                    .branch
+                    .is_some_and(|p| !self.branches[usize::from(p)].resolved);
                 if unresolved {
                     self.resolve_branch(seq);
                 }
             }
-            let e = self.window.pop_head();
-            // Entry tags are lazy: a committing entry may still *store*
-            // bits, but every one must refer to a since-freed position
-            // (i.e. the broadcast-maintained tag would be root).
-            debug_assert!(
-                self.positions.effectively_root(&e.ctx, e.born),
-                "committing entry pc={} seq={} with live tag {:?}",
-                e.pc,
-                e.seq,
-                e.ctx
-            );
-            self.commit_entry(e);
+            self.commit_entry();
             committed += 1;
             self.last_commit_cycle = self.now;
             if self.halted {
@@ -744,7 +798,21 @@ impl Simulator {
         }
     }
 
-    fn commit_entry(&mut self, e: WinEntry) {
+    /// Retire the window head, reading its record where it sits in the
+    /// released slot.
+    fn commit_entry(&mut self) {
+        let e = self.window.pop_head();
+        // Entry tags are lazy: a committing entry may still *store*
+        // bits, but every one must refer to a since-freed position
+        // (i.e. the broadcast-maintained tag would be root).
+        debug_assert!(
+            self.positions.effectively_root(&e.ctx, e.born),
+            "committing entry pc={} seq={} with live tag {:?}",
+            e.pc,
+            e.seq,
+            e.ctx
+        );
+
         // Recycle the old physical destination register (§3.1).
         if let Some(d) = e.dest {
             self.regfile.release(d.old);
@@ -760,16 +828,6 @@ impl Simulator {
                 if let Some(dc) = &mut self.dcache {
                     dc.access(addr);
                 }
-            }
-            Op::Branch { .. } => self.commit_branch(&e),
-            Op::Ret => self.commit_return(&e),
-            Op::Jr { .. } => {
-                // Train the BTB with the architecturally resolved target.
-                let b = e.binfo.as_ref().expect("committed jr without info");
-                if let Some(t) = b.actual_target {
-                    self.btb.update(e.pc, t);
-                }
-                self.commit_return(&e);
             }
             Op::Halt => self.halted = true,
             _ => {}
@@ -800,10 +858,27 @@ impl Simulator {
                 o.commit(&record);
             }
         }
+
+        // Branch bookkeeping last: it needs the whole machine mutably, so
+        // it runs once nothing more is read from the released slot.
+        let (op, pc) = (e.op, e.pc);
+        if let Some(pos) = e.branch.map(usize::from) {
+            match op {
+                Op::Branch { .. } => self.commit_branch(pc, pos),
+                Op::Jr { .. } => {
+                    // Train the BTB with the architecturally resolved target.
+                    if let Some(t) = self.branches[pos].actual_target {
+                        self.btb.update(pc, t);
+                    }
+                    self.commit_return(pos);
+                }
+                _ => self.commit_return(pos),
+            }
+        }
     }
 
-    fn commit_branch(&mut self, e: &WinEntry) {
-        let b = e.binfo.as_ref().expect("committed branch without info");
+    fn commit_branch(&mut self, pc: usize, pos: usize) {
+        let b = &self.branches[pos];
         let outcome = b.outcome.expect("committed branch unresolved");
         let correct = outcome == b.predicted_taken;
 
@@ -820,31 +895,30 @@ impl Simulator {
 
         // Train the tables with the architecturally resolved outcome.
         match &mut self.predictor {
-            Predictor::Gshare(g) => g.update(e.pc, b.ghr_at_predict, outcome),
-            Predictor::Bimodal(bi) => bi.update(e.pc, outcome),
-            Predictor::TwoLevelLocal(t) => t.update(e.pc, outcome),
-            Predictor::Agree(a) => a.update(e.pc, b.ghr_at_predict, outcome),
+            Predictor::Gshare(g) => g.update(pc, b.ghr_at_predict, outcome),
+            Predictor::Bimodal(bi) => bi.update(pc, outcome),
+            Predictor::TwoLevelLocal(t) => t.update(pc, outcome),
+            Predictor::Agree(a) => a.update(pc, b.ghr_at_predict, outcome),
             Predictor::Static(_) | Predictor::Oracle => {}
         }
         if let Some(jrs) = &mut self.jrs {
-            jrs.update(e.pc, b.ghr_at_predict, b.predicted_taken, correct);
+            jrs.update(pc, b.ghr_at_predict, b.predicted_taken, correct);
         }
         if let Some(adaptive) = &mut self.adaptive {
-            adaptive.update(e.pc, b.ghr_at_predict, b.predicted_taken, correct);
+            adaptive.update(pc, b.ghr_at_predict, b.predicted_taken, correct);
         }
         if let Some(h2p) = &mut self.h2p {
-            h2p.update(e.pc, b.ghr_at_predict, correct);
+            h2p.update(pc, b.ghr_at_predict, correct);
         }
 
-        self.release_branch_position(b.position);
+        self.release_branch_position(pos);
     }
 
-    fn commit_return(&mut self, e: &WinEntry) {
-        let b = e.binfo.as_ref().expect("committed return without info");
-        if b.mispredicted {
+    fn commit_return(&mut self, pos: usize) {
+        if self.branches[pos].mispredicted {
             self.stats.mispredicted_returns += 1;
         }
-        self.release_branch_position(b.position);
+        self.release_branch_position(pos);
     }
 
     /// The branch commit bus (§3.2.2): invalidate the history position in
@@ -854,7 +928,7 @@ impl Simulator {
     /// the stored bits there.
     fn release_branch_position(&mut self, pos: usize) {
         debug_assert!(
-            self.merge_records[pos].is_none(),
+            self.branches[pos].merge.is_none(),
             "a fork's merge record must be closed (at resolution or kill) \
              before its position is freed at commit"
         );
@@ -923,7 +997,7 @@ impl Simulator {
                 (Some(d), Some(v)) => Some((d.new, v)),
                 _ => None,
             };
-            if e.binfo.is_some() {
+            if e.branch.is_some() {
                 resolving.push(seq);
             }
             if let Some((r, v)) = wrote {
@@ -957,34 +1031,25 @@ impl Simulator {
         let Some(e) = self.window.get_live_by_seq(seq) else {
             return;
         };
-        let b = e.binfo.as_mut().expect("resolving non-branch");
+        let pos = usize::from(e.branch.expect("resolving non-branch"));
+        let (parent_tag, born, fid) = (*e.ctx, e.born, e.fid);
+        let b = &mut self.branches[pos];
         if b.resolved {
             return;
         }
         b.resolved = true;
-
-        let parent_tag = *e.ctx;
-        let born = e.born;
-        let pos = b.position;
-        let diverged = b.diverged;
-        let is_return = b.is_return;
-        let outcome = b.outcome;
-        let actual_target = b.actual_target;
-        let predicted_taken = b.predicted_taken;
-        let predicted_target = b.predicted_target;
-        let taken_target = b.taken_target;
-        let fallthrough = b.fallthrough;
-        let ghr_at_predict = b.ghr_at_predict;
-        let conf_low = b.conf_low;
-
-        let mispredicted = if is_return {
-            actual_target != Some(predicted_target)
+        let mispredicted = if b.is_return {
+            b.actual_target != Some(b.predicted_target)
         } else {
-            outcome != Some(predicted_taken)
+            b.outcome != Some(b.predicted_taken)
         };
         b.mispredicted = mispredicted;
-        let checkpoint = b.checkpoint.take();
-        let fid = e.fid;
+        let (diverged, conf_low) = (b.diverged, b.conf_low);
+        let wrong_dir = if diverged {
+            !b.outcome.expect("diverged branch outcome")
+        } else {
+            b.is_return || b.predicted_taken
+        };
         emit(&mut self.observer, || PipeEvent::Resolved {
             cycle: self.now,
             fid,
@@ -996,7 +1061,7 @@ impl Simulator {
         if diverged {
             // Both successors executed; kill the wrong one, keep the other.
             self.live_divergences -= 1;
-            self.kill_subtree(pos, !outcome.expect("diverged branch outcome"));
+            self.kill_subtree(pos, wrong_dir);
             if self.merge_pred.is_some() {
                 self.finish_merge(pos);
             }
@@ -1006,22 +1071,26 @@ impl Simulator {
             // empty-window cycles within one front-end refill of here to
             // squash recovery rather than fetch starvation.
             self.squash_refill_until = self.now + self.cfg.frontend_latency() + 2;
-            let wrong_dir = if is_return { true } else { predicted_taken };
             self.kill_subtree(pos, wrong_dir);
 
-            // Create the recovery path from the checkpoint (§3.1).
-            let cp: Box<Checkpoint> =
-                checkpoint.expect("non-divergent branch must carry a checkpoint");
-            let (tag_dir, pc, ghr) = if is_return {
+            // Create the recovery path from the checkpoint (§3.1). The
+            // kill freed only the wrong subtree's positions, never this
+            // branch's own, so its record is intact.
+            let b = &self.branches[pos];
+            let regmap = b
+                .checkpoint
+                .clone()
+                .expect("non-divergent branch must carry a checkpoint");
+            let (tag_dir, pc, ghr) = if b.is_return {
                 (
                     false,
-                    actual_target.expect("resolved return without target"),
-                    ghr_at_predict,
+                    b.actual_target.expect("resolved return without target"),
+                    b.ghr_at_predict,
                 )
             } else {
-                let out = outcome.expect("resolved branch without outcome");
-                let pc = if out { taken_target } else { fallthrough };
-                (out, pc, push_history(ghr_at_predict, out))
+                let out = b.outcome.expect("resolved branch without outcome");
+                let pc = if out { b.taken_target } else { b.fallthrough };
+                (out, pc, push_history(b.ghr_at_predict, out))
             };
             // The branch's stored parent tag is a lazy snapshot: scrub
             // bits whose positions were freed since dispatch so the
@@ -1035,10 +1104,10 @@ impl Simulator {
                 pc,
                 fetching: true,
                 ghr,
-                ras: cp.ras,
-                regmap: Some(cp.regmap),
-                on_correct: cp.oracle_on_correct && self.oracle.is_some(),
-                oracle_idx: cp.oracle_idx,
+                ras: b.ras.clone(),
+                regmap: Some(regmap),
+                on_correct: b.was_on_correct && self.oracle.is_some(),
+                oracle_idx: b.oracle_idx_after,
                 birth: self.birth_next,
                 merged_at: None,
             };
@@ -1078,7 +1147,7 @@ impl Simulator {
             stats,
             observer,
             live_divergences,
-            merge_records,
+            branches,
             now,
             ..
         } = self;
@@ -1098,14 +1167,18 @@ impl Simulator {
             if let Some(d) = k.dest {
                 regfile.release(d.new);
             }
-            if let Some(b) = k.binfo {
+            // The killed branch still owns its position here; once freed
+            // below, the position may go to a new branch, so the corpse
+            // left in the slot never reads the record again.
+            if let Some(pos) = k.branch.map(usize::from) {
+                let b = &mut branches[pos];
                 if !b.resolved && b.diverged {
                     *live_divergences -= 1;
                 }
                 // A killed fork's reconvergence hypothesis dies with it,
                 // untrained (wrong-path forks are not evidence).
-                merge_records[b.position] = None;
-                positions.free(b.position);
+                b.merge = None;
+                positions.free(pos);
             }
         });
 
@@ -1117,9 +1190,10 @@ impl Simulator {
                 fid: inst.fid,
                 stage: KillStage::FrontEnd,
             });
-            if let Some(b) = inst.binfo {
-                merge_records[b.position] = None;
-                positions.free(b.position);
+            if let Some(pos) = inst.branch.map(usize::from) {
+                let b = &mut branches[pos];
+                b.merge = None;
+                positions.free(pos);
                 if b.diverged {
                     *live_divergences -= 1;
                 }
@@ -1157,7 +1231,7 @@ impl Simulator {
     /// the parked arm was the correct one, it is now the only holder of
     /// the merge point and picks the shared suffix back up).
     fn finish_merge(&mut self, pos: usize) {
-        let Some(rec) = self.merge_records[pos].take() else {
+        let Some(rec) = self.branches[pos].merge.take() else {
             return;
         };
         let mp = self.merge_pred.as_mut().expect("records imply a predictor");
@@ -1191,8 +1265,8 @@ impl Simulator {
     /// once instead of twice. Returns `true` if the path parked.
     fn merge_check(&mut self, pid: PathId, pc: usize) -> bool {
         let tag = self.paths.get(pid).expect("path exists").tag;
-        for pos in 0..self.merge_records.len() {
-            let Some(rec) = &mut self.merge_records[pos] else {
+        for pos in 0..self.branches.len() {
+            let Some(rec) = &mut self.branches[pos].merge else {
                 continue;
             };
             if rec.merge_pc != pc {
@@ -1247,6 +1321,7 @@ impl Simulator {
             stats,
             completions,
             positions,
+            branches,
             issue_block,
             ..
         } = self;
@@ -1397,14 +1472,14 @@ impl Simulator {
                         Operand::Imm(v) => v,
                         Operand::Reg(_) => read(e.srcs[1]),
                     };
-                    let b = e.binfo.as_mut().expect("branch without info");
-                    b.outcome = Some(cond_eval(cond, a, bval));
+                    let pos = e.branch.expect("branch without a CTX position");
+                    branches[usize::from(pos)].outcome = Some(cond_eval(cond, a, bval));
                 }
                 Op::Ret | Op::Jr { .. } => {
                     claim_fu_or_keep!();
                     let target = read(e.srcs[0]);
-                    let b = e.binfo.as_mut().expect("indirect jump without info");
-                    b.actual_target = Some(target.max(0) as usize);
+                    let pos = e.branch.expect("indirect jump without a CTX position");
+                    branches[usize::from(pos)].actual_target = Some(target.max(0) as usize);
                 }
                 Op::Call { target } => {
                     claim_fu_or_keep!();
@@ -1433,39 +1508,51 @@ impl Simulator {
     // ------------------------------------------------------------------
 
     fn do_dispatch(&mut self) {
-        let latency = self.cfg.frontend_latency();
         for _ in 0..self.cfg.dispatch_width {
-            // Drop corpses (already counted as killed when the resolution
-            // bus marked them), then peek at the oldest live instruction.
-            let Some(front) = self.frontend.pop_ready(self.now, latency, |_| {}) else {
-                break;
-            };
-            // `pop_ready` returned an instruction we must dispatch or put
-            // back; check structural resources first.
-            if self.window.is_full() {
-                self.stats.dispatch_stall_window_full += 1;
-                self.frontend_unpop(front);
+            if !self.dispatch_one() {
                 break;
             }
-            if front.op.dest().is_some() && self.regfile.free_count() == 0 {
-                self.frontend_unpop(front);
-                break;
-            }
-            self.dispatch_one(front);
         }
     }
 
-    /// Put an instruction back at the front of the queue (structural stall).
-    fn frontend_unpop(&mut self, inst: FetchedInst) {
-        self.frontend.push_front(inst);
-    }
+    /// Rename the oldest front-end instruction, if it is ready, and copy
+    /// it from its latch into a window slot. Returns `false` when nothing
+    /// was dispatched: nothing is ready, or a structural resource is
+    /// short (the instruction then simply stays in its latch).
+    fn dispatch_one(&mut self) -> bool {
+        let latency = self.cfg.frontend_latency();
+        let Simulator {
+            frontend,
+            window,
+            paths,
+            regfile,
+            waiters,
+            branches,
+            positions,
+            sb,
+            observer,
+            stats,
+            seq_next,
+            now,
+            ..
+        } = self;
+        // Drop corpses (already counted as killed when the resolution bus
+        // marked them), then look at the oldest live instruction.
+        let Some(inst) = frontend.ready_head(*now, latency, |_| {}) else {
+            return false;
+        };
+        if window.is_full() {
+            stats.dispatch_stall_window_full += 1;
+            return false;
+        }
+        if inst.op.dest().is_some() && regfile.free_count() == 0 {
+            return false;
+        }
 
-    fn dispatch_one(&mut self, inst: FetchedInst) {
-        let seq = self.seq_next;
-        self.seq_next += 1;
+        let seq = *seq_next;
+        *seq_next += 1;
 
-        let path = self
-            .paths
+        let path = paths
             .get_mut(inst.path)
             .expect("live instruction's path exists");
         let regmap = path
@@ -1483,13 +1570,12 @@ impl Simulator {
         // Rename the destination: allocate a new physical register and
         // remember the old mapping for recycling at commit.
         let dest = inst.op.dest().map(|logical| {
-            let new = self
-                .regfile
+            let new = regfile
                 .allocate()
                 .expect("free register checked before dispatch");
             // Leftover wakeup registrations from the register's previous
             // life are dead weight; drop them with the reallocation.
-            self.waiters[new.0 as usize].clear();
+            waiters[new.0 as usize].clear();
             let old = regmap.rename(logical, new);
             DestInfo { logical, new, old }
         });
@@ -1499,65 +1585,42 @@ impl Simulator {
         // immediate issue candidate.
         let mut ops_ready = true;
         for &src in srcs.iter().flatten() {
-            if !self.regfile.is_ready(src) {
+            if !regfile.is_ready(src) {
                 ops_ready = false;
-                self.waiters[src.0 as usize].push(seq);
+                waiters[src.0 as usize].push(seq);
             }
         }
 
-        // Branches: build the recovery checkpoint / divergence RegMaps.
-        let binfo = inst.binfo.as_ref().map(|fb| {
-            let checkpoint = if fb.diverged {
-                None
-            } else {
-                Some(Box::new(Checkpoint {
-                    regmap: self
-                        .paths
-                        .get(inst.path)
-                        .expect("path exists")
-                        .regmap
-                        .clone()
-                        .expect("regmap exists"),
-                    ras: fb.ras_checkpoint.clone(),
-                    oracle_on_correct: fb.was_on_correct,
-                    oracle_idx: fb.oracle_idx_after,
-                }))
-            };
-            Box::new(self.make_branch_info(&inst, fb, checkpoint))
-        });
-
-        // Divergent branch renaming: copy the (parent) map into the taken
+        // Branches: the recovery checkpoint goes into the branch record; a
+        // divergent branch instead copies the (parent) map into the taken
         // successor path — the second RegMap copy of §3.2.5.
-        if let Some(fb) = &inst.binfo {
-            if fb.diverged {
-                let map = self
-                    .paths
-                    .get(inst.path)
-                    .expect("path exists")
-                    .regmap
-                    .clone()
-                    .expect("regmap exists");
-                let taken = fb.taken_path.expect("diverged branch has a taken path");
-                self.paths
+        if let Some(pos) = inst.branch {
+            let b = &mut branches[usize::from(pos)];
+            if b.diverged {
+                let map = regmap.clone();
+                let taken = b.taken_path.expect("diverged branch has a taken path");
+                paths
                     .get_mut(taken)
                     .expect("taken successor path alive while branch is alive")
                     .regmap = Some(map);
+            } else {
+                b.checkpoint = Some(regmap.clone());
             }
         }
 
         if let Op::Store { width, .. } = inst.op {
             // Store-buffer tags are eager (they receive the commit
             // broadcast), so scrub the lazy fetch snapshot on the way in.
-            let scrubbed = self.positions.scrub(inst.ctx, inst.born);
-            self.sb.insert(seq, scrubbed, width);
+            let scrubbed = positions.scrub(inst.ctx, inst.born);
+            sb.insert(seq, scrubbed, width);
         }
 
-        emit(&mut self.observer, || PipeEvent::Dispatched {
-            cycle: self.now,
+        emit(observer, || PipeEvent::Dispatched {
+            cycle: *now,
             fid: inst.fid,
             seq,
         });
-        self.window.push(
+        window.push(
             WinEntry {
                 fid: inst.fid,
                 seq,
@@ -1571,42 +1634,15 @@ impl Simulator {
                 state: EntryState::Waiting,
                 complete_at: 0,
                 result: None,
-                binfo,
+                branch: inst.branch,
                 mem: None,
                 killed: false,
             },
             ops_ready,
         );
-        self.stats.dispatched_instructions += 1;
-    }
-
-    fn make_branch_info(
-        &self,
-        inst: &FetchedInst,
-        fb: &FetchBranchInfo,
-        checkpoint: Option<Box<Checkpoint>>,
-    ) -> BranchInfo {
-        let (fallthrough, taken_target) = match inst.op {
-            Op::Branch { target, .. } => (inst.pc + 1, target),
-            Op::Ret | Op::Jr { .. } => (inst.pc + 1, 0),
-            _ => unreachable!("branch info only for branches and indirect jumps"),
-        };
-        BranchInfo {
-            is_return: fb.is_return,
-            predicted_taken: fb.predicted_taken,
-            predicted_target: fb.predicted_target,
-            fallthrough,
-            taken_target,
-            position: fb.position,
-            diverged: fb.diverged,
-            conf_low: fb.conf_low,
-            ghr_at_predict: fb.ghr_at_predict,
-            checkpoint,
-            outcome: None,
-            actual_target: None,
-            resolved: false,
-            mispredicted: false,
-        }
+        frontend.pop_head();
+        stats.dispatched_instructions += 1;
+        true
     }
 
     // ------------------------------------------------------------------
@@ -1782,7 +1818,7 @@ impl Simulator {
                     used += 1;
                 }
                 _ => {
-                    self.push_fetched(pid, pc, op, None);
+                    self.push_fetched(pid, pc, op);
                     used += 1;
                     let path = self.paths.get_mut(pid).expect("path exists");
                     match op {
@@ -1876,20 +1912,8 @@ impl Simulator {
 
         let pos = self.positions.allocate().expect("checked not full");
 
-        let mut fb = Box::new(FetchBranchInfo {
-            is_return: false,
-            predicted_taken: predicted,
-            predicted_target: if predicted { target } else { pc + 1 },
-            position: pos,
-            diverged: diverge,
-            conf_low,
-            ghr_at_predict: ghr,
-            ras_checkpoint: parent_ras.clone(),
-            was_on_correct,
-            oracle_idx_after: oracle_idx + 1,
-            taken_path: None,
-        });
-
+        let mut merge = None;
+        let mut taken_path = None;
         if diverge {
             self.stats.divergences += 1;
             self.live_divergences += 1;
@@ -1907,7 +1931,7 @@ impl Simulator {
                 }
                 match dynamic.or_else(|| mp.seed(pc, target)) {
                     Some(merge_pc) => {
-                        self.merge_records[pos] = Some(MergeRecord {
+                        merge = Some(MergeRecord {
                             branch_pc: pc,
                             merge_pc,
                             first_dir: None,
@@ -1938,7 +1962,7 @@ impl Simulator {
             self.birth_next += 1;
             let taken_pid = self.paths.allocate(taken).expect("checked not full");
             self.path_tags.insert(taken_pid.index(), &taken_tag);
-            fb.taken_path = Some(taken_pid);
+            taken_path = Some(taken_pid);
 
             // …while this slot continues as the not-taken successor.
             let path = self.paths.get_mut(pid).expect("path exists");
@@ -1958,8 +1982,27 @@ impl Simulator {
             self.path_tags.extend(pid.index(), pos, predicted);
         }
 
-        let taken_path = fb.taken_path;
-        let branch_fid = self.push_fetched_with_tag(pid, pc, op, Some(fb), parent_tag);
+        self.branches[pos] = BranchRecord {
+            is_return: false,
+            predicted_taken: predicted,
+            predicted_target: if predicted { target } else { pc + 1 },
+            fallthrough: pc + 1,
+            taken_target: target,
+            diverged: diverge,
+            conf_low,
+            ghr_at_predict: ghr,
+            taken_path,
+            ras: parent_ras,
+            was_on_correct,
+            oracle_idx_after: oracle_idx + 1,
+            checkpoint: None,
+            merge,
+            outcome: None,
+            actual_target: None,
+            resolved: false,
+            mispredicted: false,
+        };
+        let branch_fid = self.push_fetched_with_tag(pid, pc, op, Some(pos as u8), parent_tag);
         if diverge {
             emit(&mut self.observer, || PipeEvent::Diverged {
                 cycle: self.now,
@@ -1997,19 +2040,26 @@ impl Simulator {
         };
         let predicted_target = pred.unwrap_or(usize::MAX);
 
-        let fb = Box::new(FetchBranchInfo {
+        self.branches[pos] = BranchRecord {
             is_return: true,
             predicted_taken: true,
             predicted_target,
-            position: pos,
+            fallthrough: pc + 1,
+            taken_target: 0,
             diverged: false,
             conf_low: false,
             ghr_at_predict: ghr,
-            ras_checkpoint: new_ras.clone(),
+            taken_path: None,
+            ras: new_ras.clone(),
             was_on_correct,
             oracle_idx_after: oracle_idx,
-            taken_path: None,
-        });
+            checkpoint: None,
+            merge: None,
+            outcome: None,
+            actual_target: None,
+            resolved: false,
+            mispredicted: false,
+        };
 
         let path = self.paths.get_mut(pid).expect("path exists");
         path.tag = parent_tag.with_position(pos, true);
@@ -2017,27 +2067,23 @@ impl Simulator {
         path.pc = predicted_target;
         self.path_tags.extend(pid.index(), pos, true);
 
-        self.push_fetched_with_tag(pid, pc, op, Some(fb), parent_tag);
+        self.push_fetched_with_tag(pid, pc, op, Some(pos as u8), parent_tag);
         true
     }
 
-    fn push_fetched(
-        &mut self,
-        pid: PathId,
-        pc: usize,
-        op: Op,
-        binfo: Option<Box<FetchBranchInfo>>,
-    ) {
+    fn push_fetched(&mut self, pid: PathId, pc: usize, op: Op) {
         let tag = self.paths.get(pid).expect("path exists").tag;
-        self.push_fetched_with_tag(pid, pc, op, binfo, tag);
+        self.push_fetched_with_tag(pid, pc, op, None, tag);
     }
 
+    /// Write a fetched instruction into its front-end latch. `branch` is
+    /// the CTX position of a branch whose record fetch just wrote.
     fn push_fetched_with_tag(
         &mut self,
         pid: PathId,
         pc: usize,
         op: Op,
-        binfo: Option<Box<FetchBranchInfo>>,
+        branch: Option<u8>,
         tag: CtxTag,
     ) -> FetchId {
         let fid = FetchId(self.fid_next);
@@ -2050,7 +2096,7 @@ impl Simulator {
             born: self.positions.current_tick(),
             path: pid,
             fetch_cycle: self.now,
-            binfo,
+            branch,
             killed: false,
         });
         self.stats.fetched_instructions += 1;

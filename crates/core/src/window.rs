@@ -6,17 +6,17 @@
 //! of Fig. 6 is realized by [`Window::kill_matching`] (branch resolution
 //! bus) and the head entry's tag being cleared as it commits.
 //!
-//! # Structure-of-arrays layout
+//! # Layout: a record ring plus status bitmasks
 //!
-//! Entries live in dense arrays keyed by *slot index* — a power-of-two
-//! ring addressed by `seq & (ring_len - 1)`, which works because
+//! Entries live in a dense ring keyed by *slot index* — a power of two
+//! long, addressed by `seq & (ring_len - 1)`, which works because
 //! dispatch sequence numbers in the window are contiguous (each dispatch
 //! pushes exactly one entry; entries, corpses included, leave only from
-//! the front). The per-entry payload is one contiguous record per slot
-//! (every access wants most fields at once, so splitting it into
-//! per-field columns just multiplies cache misses — see [`Slot`]);
-//! alongside the payload ring, three bitmask families track the
-//! broadcast-queried status column-wise:
+//! the front). Each slot holds one contiguous [`WinEntry`] record (every
+//! access wants most fields at once, so splitting it into per-field
+//! columns just multiplies cache misses); alongside the record ring, two
+//! bitmask families track the broadcast-queried status, one bit per
+//! slot:
 //!
 //! * `live_words` — occupied-and-not-killed slots,
 //! * `ready_words` — issue candidates (live, `Waiting`, operands ready).
@@ -49,8 +49,7 @@ use pp_ctx::{CtxTag, PathId, ResolutionKill};
 use pp_isa::{Op, Reg, Width};
 
 use crate::observer::FetchId;
-use crate::ras::Ras;
-use crate::regfile::{PhysReg, RegMap};
+use crate::regfile::PhysReg;
 
 /// Monotone dispatch sequence number: program order across all paths
 /// (older = smaller; survivors of kills are totally ordered in program
@@ -66,57 +65,6 @@ pub enum EntryState {
     Issued,
     /// Result written back; eligible to commit when it reaches the head.
     Done,
-}
-
-/// Checkpoint taken when a branch renames, used for misprediction recovery
-/// (paper §3.1: "a checkpoint of the current contents of the RegMap is
-/// made"). PolyPath extends it with the front-end speculative state.
-#[derive(Debug, Clone)]
-pub struct Checkpoint {
-    /// Register map after renaming everything older than the branch.
-    pub regmap: RegMap,
-    /// Return-address stack after the branch's own fetch effect.
-    pub ras: Ras,
-    /// Oracle-trace state for the recovery path: was the branch itself on
-    /// the architecturally correct path, and the trace cursor after it.
-    pub oracle_on_correct: bool,
-    /// Trace index of the next conditional branch after this one.
-    pub oracle_idx: usize,
-}
-
-/// Branch bookkeeping carried by conditional branches and returns.
-#[derive(Debug, Clone)]
-pub struct BranchInfo {
-    /// `true` for `ret` (target prediction), `false` for conditional
-    /// branches (direction prediction).
-    pub is_return: bool,
-    /// Predicted direction (conditional) — `true` for returns.
-    pub predicted_taken: bool,
-    /// PC the front-end continued at.
-    pub predicted_target: usize,
-    /// Fall-through PC (`pc + 1`).
-    pub fallthrough: usize,
-    /// Taken-target PC (conditional branches).
-    pub taken_target: usize,
-    /// CTX history position occupied by this branch.
-    pub position: usize,
-    /// Did SEE diverge on this branch?
-    pub diverged: bool,
-    /// Confidence estimate was low (even if divergence was not possible).
-    pub conf_low: bool,
-    /// Speculative global history at prediction time (for PHT/JRS update).
-    pub ghr_at_predict: u64,
-    /// Recovery checkpoint (None for diverged branches — they cannot
-    /// mispredict, both successors execute; paper §3.2.5).
-    pub checkpoint: Option<Box<Checkpoint>>,
-    /// Resolution result: actual direction (conditional branches).
-    pub outcome: Option<bool>,
-    /// Resolution result: actual target (returns).
-    pub actual_target: Option<usize>,
-    /// Set once the resolution bus has processed this branch.
-    pub resolved: bool,
-    /// Resolution found the prediction wrong.
-    pub mispredicted: bool,
 }
 
 /// Destination register rename record.
@@ -141,14 +89,12 @@ pub struct MemInfo {
     pub forwarded: bool,
 }
 
-/// One instruction window entry, as a materialized record.
+/// One instruction window entry: the record each window slot holds.
 ///
-/// The window itself stores these fields column-wise (see the module
-/// docs); this struct is the transfer format at the boundaries — the
-/// dispatcher builds one for [`Window::push`] (which scatters it into the
-/// columns) and commit receives one from [`Window::pop_head`] (which
-/// gathers it back out).
-#[derive(Debug, Clone)]
+/// Rename builds it in its slot from the front-end latch
+/// ([`Window::push`]); commit reads it there after releasing the slot
+/// ([`Window::pop_head`]).
+#[derive(Debug, Clone, Copy)]
 pub struct WinEntry {
     /// Fetch identity (observer correlation across stages).
     pub fid: FetchId,
@@ -176,14 +122,38 @@ pub struct WinEntry {
     pub complete_at: u64,
     /// Computed result (valid once issued, for register-writing ops).
     pub result: Option<i64>,
-    /// Branch bookkeeping (conditional branches and returns). Boxed: it is
-    /// by far the largest field and most entries are not branches, so the
-    /// column stays one pointer wide.
-    pub binfo: Option<Box<BranchInfo>>,
+    /// CTX history position of a conditional branch or indirect jump: the
+    /// key of its branch record (see [`FetchedInst::branch`]).
+    ///
+    /// [`FetchedInst::branch`]: crate::FetchedInst::branch
+    pub branch: Option<u8>,
     /// Memory bookkeeping (loads and stores).
     pub mem: Option<MemInfo>,
-    /// Squashed by a resolution kill; skipped by commit and reclaimed.
+    /// Squashed by a resolution kill; skipped by commit and reclaimed
+    /// (mirrors the window's live bitmask).
     pub killed: bool,
+}
+
+impl WinEntry {
+    fn vacant() -> WinEntry {
+        WinEntry {
+            fid: FetchId(0),
+            seq: 0,
+            pc: 0,
+            op: Op::Nop,
+            ctx: CtxTag::root(),
+            born: 0,
+            path: PathId::from_index(0),
+            srcs: [None, None],
+            dest: None,
+            state: EntryState::Waiting,
+            complete_at: 0,
+            result: None,
+            branch: None,
+            mem: None,
+            killed: false,
+        }
+    }
 }
 
 /// What the issue stage did with a candidate the select scan offered it
@@ -236,96 +206,13 @@ pub struct EntryMut<'a> {
     pub complete_at: &'a mut u64,
     /// Computed result.
     pub result: &'a mut Option<i64>,
-    /// Branch bookkeeping.
-    pub binfo: &'a mut Option<Box<BranchInfo>>,
+    /// Branch record position (see [`WinEntry::branch`]).
+    pub branch: Option<u8>,
     /// Memory bookkeeping.
     pub mem: &'a mut Option<MemInfo>,
 }
 
-/// Read-only view of one occupied window slot (live or corpse), yielded
-/// by [`Window::iter_live`], the kill callback, and the sanitizer's
-/// [`Window::debug_iter`].
-pub struct EntryRef<'a> {
-    /// Fetch identity.
-    pub fid: FetchId,
-    /// Program-order sequence number.
-    pub seq: Seq,
-    /// Static PC.
-    pub pc: usize,
-    /// Decoded instruction.
-    pub op: Op,
-    /// Lazy CTX tag snapshot (see [`WinEntry::ctx`]).
-    pub ctx: CtxTag,
-    /// Free-epoch stamp for the snapshot (see [`WinEntry::born`]).
-    pub born: u64,
-    /// Fetch path.
-    pub path: PathId,
-    /// Renamed sources.
-    pub srcs: [Option<PhysReg>; 2],
-    /// Renamed destination.
-    pub dest: Option<DestInfo>,
-    /// Execution status.
-    pub state: EntryState,
-    /// Writeback cycle.
-    pub complete_at: u64,
-    /// Computed result.
-    pub result: Option<i64>,
-    /// Branch bookkeeping.
-    pub binfo: Option<&'a BranchInfo>,
-    /// Memory bookkeeping.
-    pub mem: Option<MemInfo>,
-    /// Squashed by a resolution kill.
-    pub killed: bool,
-}
-
-/// One slot's field bundle, stored contiguously in the ring.
-///
-/// The payload is deliberately *not* split into per-field columns: every
-/// pipeline access that reaches a slot (dispatch scatter, commit gather,
-/// wakeup, issue select, writeback) wants most of the fields at once, so
-/// a record per slot costs one or two cache lines where thirteen parallel
-/// columns cost a potential miss each. The structure-of-arrays split is
-/// reserved for the *broadcast* state — the status and registration
-/// bitmasks beside the ring — where whole-window queries really are
-/// word-parallel.
-#[derive(Debug)]
-struct Slot {
-    fid: FetchId,
-    pc: usize,
-    op: Op,
-    ctx: CtxTag,
-    born: u64,
-    path: PathId,
-    srcs: [Option<PhysReg>; 2],
-    dest: Option<DestInfo>,
-    state: EntryState,
-    complete_at: u64,
-    result: Option<i64>,
-    binfo: Option<Box<BranchInfo>>,
-    mem: Option<MemInfo>,
-}
-
-impl Slot {
-    fn vacant() -> Slot {
-        Slot {
-            fid: FetchId(0),
-            pc: 0,
-            op: Op::Nop,
-            ctx: CtxTag::root(),
-            born: 0,
-            path: PathId::from_index(0),
-            srcs: [None, None],
-            dest: None,
-            state: EntryState::Waiting,
-            complete_at: 0,
-            result: None,
-            binfo: None,
-            mem: None,
-        }
-    }
-}
-
-/// The instruction window in SoA form (see the module docs).
+/// The instruction window (see the module docs).
 #[derive(Debug)]
 pub struct Window {
     /// Seq of the oldest occupied slot; equals `back_seq` when empty.
@@ -340,8 +227,8 @@ pub struct Window {
     /// `ring_len - 1`; `slot(seq) = seq & ring_mask`.
     ring_mask: usize,
 
-    /// Slot payload records, `ring_mask + 1` long.
-    slots: Vec<Slot>,
+    /// Slot records, `ring_mask + 1` long (see the module docs).
+    slots: Vec<WinEntry>,
 
     /// Bit per slot: occupied and not killed.
     pub(crate) live_words: Vec<u64>,
@@ -439,7 +326,7 @@ impl Window {
             live: 0,
             capacity,
             ring_mask: ring_len - 1,
-            slots: (0..ring_len).map(|_| Slot::vacant()).collect(),
+            slots: vec![WinEntry::vacant(); ring_len],
             live_words: vec![0; words],
             ready_words: vec![0; words],
             kill_scratch: vec![0; words],
@@ -504,13 +391,15 @@ impl Window {
         self.ring_mask + 1
     }
 
-    /// Insert a renamed instruction at the tail. `ops_ready` is whether all
-    /// its source operands are already ready — if so it is an immediate
-    /// issue candidate; otherwise the dispatcher must have registered it
-    /// for a [`wake`](Self::wake) on each outstanding operand.
+    /// Insert a renamed instruction at the tail, written straight into its
+    /// slot. `ops_ready` is whether all its source operands are already
+    /// ready — if so it is an immediate issue candidate; otherwise the
+    /// dispatcher must have registered it for a [`wake`](Self::wake) on
+    /// each outstanding operand.
     ///
     /// # Panics
     /// Panics if the window is full (callers must check `is_full`).
+    #[inline]
     pub fn push(&mut self, entry: WinEntry, ops_ready: bool) {
         assert!(!self.is_full(), "window overflow");
         debug_assert!(!entry.killed);
@@ -528,21 +417,7 @@ impl Window {
         let slot = self.slot_of(entry.seq);
         debug_assert!(!self.live_bit(slot), "slot collision");
         let candidate = ops_ready && entry.state == EntryState::Waiting;
-        self.slots[slot] = Slot {
-            fid: entry.fid,
-            pc: entry.pc,
-            op: entry.op,
-            ctx: entry.ctx,
-            born: entry.born,
-            path: entry.path,
-            srcs: entry.srcs,
-            dest: entry.dest,
-            state: entry.state,
-            complete_at: entry.complete_at,
-            result: entry.result,
-            binfo: entry.binfo,
-            mem: entry.mem,
-        };
+        self.slots[slot] = entry;
         self.live_words[slot / 64] |= 1u64 << (slot % 64);
         self.live += 1;
         if candidate {
@@ -560,7 +435,7 @@ impl Window {
         let new_mask = new_len - 1;
         let words = new_len.div_ceil(64);
 
-        self.slots.resize_with(new_len, Slot::vacant);
+        self.slots.resize(new_len, WinEntry::vacant());
 
         let mut new_live = vec![0u64; words];
         let mut new_ready = vec![0u64; words];
@@ -586,12 +461,12 @@ impl Window {
         self.ring_mask = new_mask;
     }
 
+    #[inline]
     fn entry_mut(&mut self, slot: usize) -> EntryMut<'_> {
-        let seq = self.seq_at(slot);
         let s = &mut self.slots[slot];
         EntryMut {
             fid: s.fid,
-            seq,
+            seq: s.seq,
             pc: s.pc,
             op: &s.op,
             ctx: &s.ctx,
@@ -602,45 +477,14 @@ impl Window {
             state: &mut s.state,
             complete_at: &mut s.complete_at,
             result: &mut s.result,
-            binfo: &mut s.binfo,
+            branch: s.branch,
             mem: &mut s.mem,
         }
     }
 
-    fn entry_ref(&self, slot: usize) -> EntryRef<'_> {
-        let s = &self.slots[slot];
-        EntryRef {
-            fid: s.fid,
-            seq: self.seq_at(slot),
-            pc: s.pc,
-            op: s.op,
-            ctx: s.ctx,
-            born: s.born,
-            path: s.path,
-            srcs: s.srcs,
-            dest: s.dest,
-            state: s.state,
-            complete_at: s.complete_at,
-            result: s.result,
-            binfo: s.binfo.as_deref(),
-            mem: s.mem,
-            killed: !self.live_bit(slot),
-        }
-    }
-
-    /// Seq of the entry occupying `slot` (unique while the slot is inside
-    /// the span, since the span never exceeds the ring length).
-    #[inline]
-    fn seq_at(&self, slot: usize) -> Seq {
-        let front_slot = self.slot_of(self.front_seq);
-        let off = slot.wrapping_sub(front_slot) & self.ring_mask;
-        let seq = self.front_seq + off as u64;
-        debug_assert!(seq < self.back_seq, "slot outside the span");
-        seq
-    }
-
     /// The oldest live entry, if any (commit candidate). Killed entries at
     /// the head are reclaimed on the way.
+    #[inline]
     pub fn head_mut(&mut self) -> Option<EntryMut<'_>> {
         self.drain_dead_head();
         if self.span() == 0 {
@@ -650,51 +494,38 @@ impl Window {
         Some(self.entry_mut(slot))
     }
 
-    /// Remove the head entry (it committed). Returns it.
+    /// Remove the head entry (it committed) and lend out its record, which
+    /// stays in its slot until a later push reuses it.
     ///
     /// # Panics
     /// Panics if there is no live head entry.
-    pub fn pop_head(&mut self) -> WinEntry {
+    #[inline]
+    pub fn pop_head(&mut self) -> &WinEntry {
         self.drain_dead_head();
         assert!(self.span() > 0, "pop from empty window");
-        let e = self.evict_front(false);
+        let slot = self.release_front(false);
         self.live -= 1;
-        e
+        &self.slots[slot]
     }
 
-    /// Gather the front slot into a `WinEntry` and release it (candidacy
-    /// and liveness bookkeeping).
-    fn evict_front(&mut self, expect_killed: bool) -> WinEntry {
-        let seq = self.front_seq;
-        let slot = self.slot_of(seq);
+    /// Release the front slot (candidacy and liveness bookkeeping) and
+    /// return its index; the record itself is left in place.
+    #[inline]
+    fn release_front(&mut self, expect_killed: bool) -> usize {
+        let slot = self.slot_of(self.front_seq);
         debug_assert_eq!(self.live_bit(slot), !expect_killed);
+        debug_assert_eq!(self.slots[slot].killed, expect_killed);
         let bit = 1u64 << (slot % 64);
         self.live_words[slot / 64] &= !bit;
         self.ready_words[slot / 64] &= !bit;
-        self.front_seq = seq + 1;
-        let s = &mut self.slots[slot];
-        WinEntry {
-            fid: s.fid,
-            seq,
-            pc: s.pc,
-            op: s.op,
-            ctx: s.ctx,
-            born: s.born,
-            path: s.path,
-            srcs: s.srcs,
-            dest: s.dest,
-            state: s.state,
-            complete_at: s.complete_at,
-            result: s.result.take(),
-            binfo: s.binfo.take(),
-            mem: s.mem.take(),
-            killed: expect_killed,
-        }
+        self.front_seq += 1;
+        slot
     }
 
+    #[inline]
     fn drain_dead_head(&mut self) {
         while self.span() > 0 && !self.live_bit(self.slot_of(self.front_seq)) {
-            let _ = self.evict_front(true);
+            self.release_front(true);
         }
     }
 
@@ -706,21 +537,21 @@ impl Window {
     /// [`for_each_issuable`](Self::for_each_issuable), [`wake`](Self::wake),
     /// or [`get_live_by_seq`](Self::get_live_by_seq) (which permits mutating
     /// anything *except* a `Waiting` state, source readiness, or liveness).
-    pub fn iter_live(&self) -> impl Iterator<Item = EntryRef<'_>> {
+    pub fn iter_live(&self) -> impl Iterator<Item = &WinEntry> {
         (self.front_seq..self.back_seq)
             .map(|seq| self.slot_of(seq))
             .filter(|&slot| self.live_bit(slot))
-            .map(|slot| self.entry_ref(slot))
+            .map(|slot| &self.slots[slot])
     }
 
     /// Every occupied slot — corpses included — paired with its issue-
     /// candidate bit, oldest first. For the sanitizer's from-scratch
     /// re-derivation of the status masks; not part of the pipeline.
-    pub(crate) fn debug_iter(&self) -> impl Iterator<Item = (EntryRef<'_>, bool)> {
+    pub(crate) fn debug_iter(&self) -> impl Iterator<Item = (&WinEntry, bool)> {
         (self.front_seq..self.back_seq).map(|seq| {
             let slot = self.slot_of(seq);
             (
-                self.entry_ref(slot),
+                &self.slots[slot],
                 self.ready_words[slot / 64] & (1u64 << (slot % 64)) != 0,
             )
         })
@@ -737,7 +568,7 @@ impl Window {
     /// matching stored bit is a stale leftover from a previous allocation
     /// of the position. Kills are per-resolution events, so the scan is
     /// off the per-instruction hot path by construction.
-    pub fn kill_matching(&mut self, kill: &ResolutionKill, mut on_kill: impl FnMut(EntryRef<'_>)) {
+    pub fn kill_matching(&mut self, kill: &ResolutionKill, mut on_kill: impl FnMut(&WinEntry)) {
         let mut killed = 0;
         let mut snapshot = std::mem::take(&mut self.kill_scratch);
         snapshot.copy_from_slice(&self.live_words);
@@ -747,16 +578,17 @@ impl Window {
             self.ring_mask,
             &snapshot,
             |slot, seq| {
-                debug_assert_eq!(self.seq_at(slot), seq);
-                let s = &self.slots[slot];
+                let s = &mut self.slots[slot];
+                debug_assert_eq!(s.seq, seq);
                 if !kill.matches(&s.ctx, s.born) {
                     return;
                 }
+                s.killed = true;
                 let bit = 1u64 << (slot % 64);
                 self.live_words[slot / 64] &= !bit;
                 self.ready_words[slot / 64] &= !bit;
                 killed += 1;
-                on_kill(self.entry_ref(slot));
+                on_kill(s);
             },
         );
         self.kill_scratch = snapshot;
@@ -809,6 +641,7 @@ impl Window {
     /// mark it an issue candidate. No-op for absent or killed entries
     /// (waiter registrations are not cleaned up on kill) and for entries
     /// still missing another operand.
+    #[inline]
     pub fn wake(&mut self, seq: Seq, ready: impl FnOnce(&[Option<PhysReg>; 2]) -> bool) {
         let Some(slot) = self.index_of(seq) else {
             return;
@@ -823,6 +656,7 @@ impl Window {
 
     /// The live entry with dispatch sequence number `seq`, located in O(1)
     /// by the slot ring's `seq & mask` addressing.
+    #[inline]
     pub fn get_live_by_seq(&mut self, seq: Seq) -> Option<EntryMut<'_>> {
         let slot = self.index_of(seq)?;
         if self.live_bit(slot) {
@@ -858,7 +692,7 @@ mod tests {
             state: EntryState::Waiting,
             complete_at: 0,
             result: None,
-            binfo: None,
+            branch: None,
             mem: None,
             killed: false,
         }

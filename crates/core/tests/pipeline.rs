@@ -3,7 +3,9 @@
 //! architecturally identical in every execution mode — wrong paths must be
 //! invisible.
 
-use pp_core::{ConfidenceKind, ExecMode, PredictorKind, SimConfig, SimStats, Simulator};
+use pp_core::{
+    ConfidenceKind, ExecMode, MergeConfig, PredictorKind, SimConfig, SimStats, Simulator,
+};
 use pp_func::Emulator;
 use pp_isa::{reg, Asm, FpOp, Operand, Program};
 use pp_predictor::JrsConfig;
@@ -673,15 +675,26 @@ fn ras_overflow_recovers_correctly() {
 #[test]
 fn ctx_position_exhaustion_stalls_but_stays_correct() {
     // Only 4 history positions: fetch stalls constantly on branches, but
-    // the run completes and matches the reference.
+    // every mode completes, matches the reference and stays sane every
+    // cycle. A kill frees its branches' positions at once, so a position
+    // is often reallocated while the killed corpse of its previous owner
+    // still sits in a latch or window slot: the corpse must never read
+    // the branch record its stale position now names.
     let p = random_branch_program(200);
-    let cfg = SimConfig {
-        ctx_positions: 4,
-        max_paths: 3,
-        ..SimConfig::baseline()
-    };
-    let s = run_checked(&p, cfg);
-    assert!(s.fetch_stall_no_ctx > 0, "positions must run out");
+    let mut modes = all_modes();
+    modes.push((
+        "see-merge",
+        SimConfig::baseline().with_merge(MergeConfig::paper_default()),
+    ));
+    for (name, cfg) in modes {
+        let cfg = SimConfig {
+            ctx_positions: 4,
+            max_paths: 3,
+            ..cfg
+        };
+        let s = run_checked(&p, cfg.with_sanitizer());
+        assert!(s.fetch_stall_no_ctx > 0, "{name}: positions must run out");
+    }
 }
 
 #[test]

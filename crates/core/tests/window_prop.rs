@@ -74,7 +74,7 @@ fn entry(seq: Seq, tag: CtxTag, born: u64) -> WinEntry {
         state: EntryState::Waiting,
         complete_at: 0,
         result: None,
-        binfo: None,
+        branch: None,
         mem: None,
         killed: false,
     }
@@ -278,7 +278,7 @@ fn fetched(fid: u64, tag: CtxTag, cycle: u64, born: u64) -> FetchedInst {
         born,
         path: PathId::from_index(0),
         fetch_cycle: cycle,
-        binfo: None,
+        branch: None,
         killed: false,
     }
 }
@@ -314,11 +314,13 @@ fn soa_fetch_queue_matches_boxed_shadow_model() {
                         born: tick,
                     }));
                 }
-                // Dispatch attempt: pop the head if mature, sometimes
-                // putting it straight back (structural stall).
+                // Dispatch attempt: read the head if mature, sometimes
+                // leaving it queued (structural stall).
                 45..=69 => {
                     let mut dropped = Vec::new();
-                    let popped = fe.pop_ready(now, LATENCY, |d| dropped.push(d.fid.0));
+                    let popped = fe
+                        .ready_head(now, LATENCY, |d| dropped.push(d.fid.0))
+                        .copied();
                     // Shadow: drop leading corpses, then check maturity.
                     let mut expect_dropped = Vec::new();
                     while shadow.front().is_some_and(|i| i.killed) {
@@ -341,13 +343,14 @@ fn soa_fetch_queue_matches_boxed_shadow_model() {
                             e.is_some()
                         ),
                     }
-                    if let (Some(inst), Some(sh)) = (popped, expect) {
+                    if let (Some(_), Some(sh)) = (popped, expect) {
                         if rng.flip() {
-                            // Structural stall: back into the head latch.
-                            fe.push_front(inst);
+                            // Structural stall: the head stays in its latch.
                             shadow.push_front(sh);
+                        } else {
+                            // Dispatched: gone from both.
+                            fe.pop_head();
                         }
-                        // Otherwise dispatched: gone from both.
                     }
                 }
                 // Resolution kill broadcast (with the epoch filter, as on
