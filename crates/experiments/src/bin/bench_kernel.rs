@@ -57,7 +57,8 @@ use std::fmt::Write as _;
 
 use pp_experiments::cli;
 use pp_experiments::experiments::BASELINE_HISTORY_BITS;
-use pp_experiments::{named_config, scale_factor, scaled, Config};
+use pp_experiments::{named_config, Config};
+use pp_sweep::{scale_factor, scaled};
 use pp_workloads::Workload;
 
 use pp_core::{json, Simulator};

@@ -101,7 +101,10 @@ pub fn parse_policy<P: pp_core::Policy>(flag: &str, raw: &str) -> P {
 /// * `--max-cells N` — simulate at most N cells, skip the rest
 ///   (cache hits are free; this is the deterministic "interrupt")
 /// * `--quiet` — suppress per-cell progress lines
-/// * `--telemetry-out DIR` / `--telemetry-sample-every N` — as before
+/// * `--telemetry-out DIR` — write per-workload telemetry artifacts and
+///   sweep metrics there (default: none)
+/// * `--telemetry-sample-every N` — machine-state sampling interval in
+///   cycles (default 64)
 ///
 /// Every value flag accepts both `--flag VALUE` and `--flag=VALUE`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -142,13 +145,9 @@ impl SweepOpts {
     pub fn try_parse(
         args: impl IntoIterator<Item = String>,
     ) -> Result<(Self, Vec<String>), String> {
-        let (telemetry, rest) = TelemetryOpts::try_parse(args)?;
-        let mut opts = SweepOpts {
-            telemetry,
-            ..Default::default()
-        };
+        let mut opts = SweepOpts::default();
         let mut positional = Vec::new();
-        let mut it = rest.into_iter();
+        let mut it = args.into_iter();
         let value = |flag: &str,
                      inline: Option<String>,
                      it: &mut dyn Iterator<Item = String>,
@@ -194,6 +193,19 @@ impl SweepOpts {
                     opts.max_cells = Some(try_parse_value("--max-cells", &v, "a cell count")?);
                 }
                 "--quiet" => opts.quiet = true,
+                "--telemetry-out" => {
+                    opts.telemetry.out_dir = Some(PathBuf::from(value(
+                        "--telemetry-out",
+                        inline,
+                        &mut it,
+                        "a directory",
+                    )?));
+                }
+                "--telemetry-sample-every" => {
+                    let v = value("--telemetry-sample-every", inline, &mut it, "a cycle count")?;
+                    opts.telemetry.sample_every =
+                        try_parse_value("--telemetry-sample-every", &v, "a cycle count")?;
+                }
                 other if other.starts_with("--") => {
                     return Err(format!("unknown argument: {other}"));
                 }
@@ -324,5 +336,60 @@ mod tests {
         assert!(err.contains("\"many\""), "{err}");
         let err = SweepOpts::try_parse(args(&["--out-dir"])).unwrap_err();
         assert!(err.contains("--out-dir needs a directory"), "{err}");
+    }
+
+    #[test]
+    fn sweep_opts_parse_telemetry_flags_in_both_forms() {
+        let (o, rest) = SweepOpts::try_parse(args(&["results"])).unwrap();
+        assert_eq!(o.telemetry.out_dir, None);
+        assert_eq!(o.telemetry.sample_every, 64);
+        assert_eq!(rest, args(&["results"]));
+
+        let (o, rest) = SweepOpts::try_parse(args(&[
+            "--telemetry-out",
+            "results/telemetry",
+            "out",
+            "--telemetry-sample-every=32",
+        ]))
+        .unwrap();
+        assert_eq!(
+            o.telemetry.out_dir,
+            Some(PathBuf::from("results/telemetry"))
+        );
+        assert_eq!(o.telemetry.sample_every, 32);
+        assert_eq!(rest, args(&["out"]));
+
+        let (o, _) = SweepOpts::try_parse(args(&[
+            "--telemetry-out=d",
+            "--telemetry-sample-every",
+            "128",
+        ]))
+        .unwrap();
+        assert_eq!(o.telemetry.out_dir, Some(PathBuf::from("d")));
+        assert_eq!(o.telemetry.sample_every, 128);
+    }
+
+    #[test]
+    fn sweep_opts_reject_dangling_telemetry_flags() {
+        let err = SweepOpts::try_parse(args(&["--telemetry-out"])).unwrap_err();
+        assert!(err.contains("--telemetry-out needs a directory"), "{err}");
+        let err = SweepOpts::try_parse(args(&["--telemetry-sample-every"])).unwrap_err();
+        assert!(
+            err.contains("--telemetry-sample-every needs a cycle count"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn sweep_opts_reject_bad_telemetry_interval() {
+        for form in [
+            args(&["--telemetry-sample-every=never"]),
+            args(&["--telemetry-sample-every", "never"]),
+        ] {
+            let err = SweepOpts::try_parse(form).unwrap_err();
+            assert!(err.contains("--telemetry-sample-every"), "{err}");
+            assert!(err.contains("\"never\""), "{err}");
+            assert!(err.contains("a cycle count"), "{err}");
+        }
     }
 }

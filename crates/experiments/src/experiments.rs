@@ -1,59 +1,21 @@
-//! The paper's tables and figures as programmatic experiments.
+//! The paper's tables and figures as data: the machine configuration of
+//! every figure point, the grids they form, and the reductions from
+//! completed sweep cells to per-figure summaries.
 //!
-//! Each function runs the required simulations (honouring `PP_SCALE`) and
-//! returns structured results; the binaries format them, the integration
-//! tests assert the paper's qualitative claims on them.
+//! Nothing here simulates. The [`crate::suite`] experiments hand these
+//! grids to [`pp_sweep::SweepEngine`] and reduce its [`CellResult`]s
+//! with [`Fig8::from_results`] and [`sweep_points`]; the integration
+//! tests assert the paper's qualitative claims on the same reductions.
 
 use pp_core::{FuConfig, SimConfig, SimStats};
+use pp_sweep::{CellResult, SweepCell};
 use pp_workloads::Workload;
 
 use crate::configs::{named_config, Config, CONFIG_ORDER};
-use crate::harness::{
-    geometric_mean, harmonic_mean, run_matrix, run_workload, scaled, speedup_frac,
-};
+use crate::harness::{geometric_mean, harmonic_mean, speedup_frac};
 
 /// Baseline gshare history bits (16 k counters).
 pub const BASELINE_HISTORY_BITS: u32 = 14;
-
-// ---------------------------------------------------------------------
-// Table 1
-// ---------------------------------------------------------------------
-
-/// One row of Table 1: workload characteristics.
-#[derive(Debug, Clone)]
-pub struct Table1Row {
-    /// Which workload.
-    pub workload: Workload,
-    /// Dynamic instruction count (functional).
-    pub instructions: u64,
-    /// Dynamic conditional branches.
-    pub cond_branches: u64,
-    /// Fraction of taken branches.
-    pub taken_rate: f64,
-    /// gshare-14 misprediction rate on the monopath machine.
-    pub mispredict_rate: f64,
-}
-
-/// Regenerate Table 1: per-workload dynamic size and gshare-14
-/// misprediction rate.
-pub fn table1() -> Vec<Table1Row> {
-    let cfg = named_config(Config::Monopath, BASELINE_HISTORY_BITS);
-    let results = run_matrix(&Workload::ALL, std::slice::from_ref(&cfg));
-    Workload::ALL
-        .iter()
-        .zip(results)
-        .map(|(&w, r)| {
-            let func = w.characterize(scaled(w));
-            Table1Row {
-                workload: w,
-                instructions: func.instructions,
-                cond_branches: func.cond_branches,
-                taken_rate: func.taken_branches as f64 / func.cond_branches.max(1) as f64,
-                mispredict_rate: r.stats.mispredict_rate(),
-            }
-        })
-        .collect()
-}
 
 // ---------------------------------------------------------------------
 // Fig. 8 + §5.1 + §5.2
@@ -85,6 +47,20 @@ impl Fig8 {
     pub fn speedup(&self, a: Config, b: Config) -> f64 {
         self.hmean(a) / self.hmean(b)
     }
+
+    /// Reduce the completed baseline matrix (`Workload::ALL` ×
+    /// [`CONFIG_ORDER`], workload-major) to the Fig. 8 analysis.
+    pub fn from_results(results: &[CellResult]) -> Fig8 {
+        let n = CONFIG_ORDER.len();
+        let cells = results
+            .chunks(n)
+            .map(|row| row.iter().map(|r| r.stats.clone()).collect())
+            .collect();
+        Fig8 {
+            cells,
+            hmean_ipc: hmeans_of(results, n),
+        }
+    }
 }
 
 /// Index of a configuration within [`CONFIG_ORDER`].
@@ -95,28 +71,24 @@ pub fn config_index(config: Config) -> usize {
         .expect("config in order")
 }
 
-/// Run the Fig. 8 baseline comparison (also the data source for §5.1 and
-/// §5.2 analyses).
-pub fn fig8() -> Fig8 {
-    let configs: Vec<SimConfig> = CONFIG_ORDER
+/// `Workload::ALL × configs` as sweep cells, workload-major.
+pub(crate) fn matrix_grid(configs: &[SimConfig]) -> Vec<SweepCell> {
+    Workload::ALL
         .iter()
-        .map(|&c| named_config(c, BASELINE_HISTORY_BITS))
-        .collect();
-    let results = run_matrix(&Workload::ALL, &configs);
-    let mut cells: Vec<Vec<SimStats>> = Vec::with_capacity(Workload::ALL.len());
-    for wi in 0..Workload::ALL.len() {
-        let row: Vec<SimStats> = (0..configs.len())
-            .map(|ci| results[wi * configs.len() + ci].stats.clone())
-            .collect();
-        cells.push(row);
-    }
-    let hmean_ipc = (0..configs.len())
+        .flat_map(|&w| configs.iter().map(move |c| SweepCell::new(w, c.clone())))
+        .collect()
+}
+
+/// Per-configuration harmonic-mean IPC over a workload-major slice.
+pub(crate) fn hmeans_of(results: &[CellResult], nconfigs: usize) -> Vec<f64> {
+    (0..nconfigs)
         .map(|ci| {
-            let ipcs: Vec<f64> = cells.iter().map(|row| row[ci].ipc()).collect();
+            let ipcs: Vec<f64> = (0..results.len() / nconfigs)
+                .map(|wi| results[wi * nconfigs + ci].stats.ipc())
+                .collect();
             harmonic_mean(&ipcs)
         })
-        .collect();
-    Fig8 { cells, hmean_ipc }
+        .collect()
 }
 
 // ---------------------------------------------------------------------
@@ -139,12 +111,6 @@ pub const FIG10_WINDOWS: [usize; 5] = [64, 128, 256, 512, 1024];
 pub const FIG11_FUS: [usize; 4] = [1, 2, 3, 4];
 /// The pipeline depths Fig. 12 sweeps.
 pub const FIG12_DEPTHS: [usize; 5] = [6, 7, 8, 9, 10];
-
-/// The machine configuration of one Fig. 9 point: `series` at
-/// `history_bits` of predictor history.
-pub fn fig9_config(series: Config, history_bits: u32) -> SimConfig {
-    named_config(series, history_bits)
-}
 
 /// Total predictor state (gshare PHT + JRS table) in bytes at one
 /// Fig. 9 point — the paper's equal-area x-axis.
@@ -191,69 +157,38 @@ pub struct SweepPoint {
     pub mispredict_rate: f64,
 }
 
-fn sweep(points: &[u64], make: impl Fn(Config, u64) -> SimConfig) -> Vec<SweepPoint> {
-    points
-        .iter()
-        .map(|&x| {
+/// The grid of one scalability figure: for each x-point, the four
+/// [`SWEEP_SERIES`] configurations across all workloads.
+pub fn sweep_grid(xs: &[u64], make: &dyn Fn(Config, u64) -> SimConfig) -> Vec<SweepCell> {
+    xs.iter()
+        .flat_map(|&x| {
             let configs: Vec<SimConfig> = SWEEP_SERIES.iter().map(|&c| make(c, x)).collect();
-            let results = run_matrix(&Workload::ALL, &configs);
-            let hmean_ipc: Vec<f64> = (0..configs.len())
-                .map(|ci| {
-                    let ipcs: Vec<f64> = (0..Workload::ALL.len())
-                        .map(|wi| results[wi * configs.len() + ci].stats.ipc())
-                        .collect();
-                    harmonic_mean(&ipcs)
-                })
-                .collect();
-            // Geometric mean of the monopath misprediction rate.
-            let mono = 1; // index of Config::Monopath in SWEEP_SERIES
-            let rates: Vec<f64> = (0..Workload::ALL.len())
-                .map(|wi| {
-                    results[wi * configs.len() + mono]
-                        .stats
-                        .mispredict_rate()
-                        .max(1e-6)
-                })
-                .collect();
-            let gmean = geometric_mean(&rates);
-            SweepPoint {
-                x,
-                state_bytes: 0,
-                hmean_ipc,
-                mispredict_rate: gmean,
-            }
+            matrix_grid(&configs)
         })
         .collect()
 }
 
-/// Fig. 9: branch predictor size sweep (`history_bits` per point). The
-/// returned `state_bytes` counts all predictor state in the system
-/// (gshare PHT + JRS table where present) for the equal-area comparison.
-pub fn fig9(history_bits: &[u32]) -> Vec<SweepPoint> {
-    let points: Vec<u64> = history_bits.iter().map(|&b| b as u64).collect();
-    let mut out = sweep(&points, |c, bits| fig9_config(c, bits as u32));
-    for p in &mut out {
-        p.state_bytes = fig9_state_bytes(p.x as u32);
-    }
-    out
-}
-
-/// Fig. 10: instruction window size sweep.
-pub fn fig10(window_sizes: &[usize]) -> Vec<SweepPoint> {
-    let points: Vec<u64> = window_sizes.iter().map(|&w| w as u64).collect();
-    sweep(&points, |c, w| fig10_config(c, w as usize))
-}
-
-/// Fig. 11: functional unit configuration sweep (`n` units of each type).
-pub fn fig11(fu_counts: &[usize]) -> Vec<SweepPoint> {
-    let points: Vec<u64> = fu_counts.iter().map(|&n| n as u64).collect();
-    sweep(&points, |c, n| fig11_config(c, n as usize))
-}
-
-/// Fig. 12: pipeline depth sweep (total stages).
-pub fn fig12(depths: &[usize]) -> Vec<SweepPoint> {
-    let points: Vec<u64> = depths.iter().map(|&d| d as u64).collect();
-    sweep(&points, |c, d| fig12_config(c, d as usize))
+/// Reduce a completed [`sweep_grid`] to one [`SweepPoint`] per x-point
+/// (`state_bytes` left zero; Fig. 9 fills it in).
+pub fn sweep_points(results: &[CellResult], xs: &[u64]) -> Vec<SweepPoint> {
+    let n = SWEEP_SERIES.len();
+    let per_point = Workload::ALL.len() * n;
+    xs.iter()
+        .zip(results.chunks(per_point))
+        .map(|(&x, slice)| {
+            let mono = 1; // index of Config::Monopath in SWEEP_SERIES
+            let rates: Vec<f64> = slice
+                .chunks(n)
+                .map(|row| row[mono].stats.mispredict_rate().max(1e-6))
+                .collect();
+            SweepPoint {
+                x,
+                state_bytes: 0,
+                hmean_ipc: hmeans_of(slice, n),
+                mispredict_rate: geometric_mean(&rates),
+            }
+        })
+        .collect()
 }
 
 // ---------------------------------------------------------------------
@@ -346,10 +281,4 @@ pub fn sec52(fig8: &Fig8) -> Sec52 {
         mean_paths_see: mean_paths.iter().sum::<f64>() / mean_paths.len() as f64,
         paths_le3_see: le3.iter().sum::<f64>() / le3.len() as f64,
     }
-}
-
-/// Run one workload under one named configuration at baseline history
-/// bits (convenience for examples and tests).
-pub fn run_named(workload: Workload, config: Config) -> SimStats {
-    run_workload(workload, &named_config(config, BASELINE_HISTORY_BITS))
 }

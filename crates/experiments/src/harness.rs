@@ -1,97 +1,13 @@
-//! Sweep runner: simulate workloads × configurations, in parallel —
-//! plus the shared derived-metric helpers and the `--telemetry-*`
-//! command-line plumbing every binary uses.
+//! The summary statistics every experiment reduces with (harmonic and
+//! geometric means, speedups), plus the instrumented single-workload
+//! run behind `--telemetry-out`.
 
 use std::path::PathBuf;
 
 use pp_core::{SimConfig, SimStats, Simulator};
+use pp_sweep::scaled;
 use pp_telemetry::{TelemetryArtifacts, TelemetryConfig, TelemetryObserver};
 use pp_workloads::Workload;
-
-/// One cell of a sweep matrix.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MatrixResult {
-    /// The workload simulated.
-    pub workload: Workload,
-    /// Index of the configuration in the caller's configuration list.
-    pub config_index: usize,
-    /// Collected statistics.
-    pub stats: SimStats,
-}
-
-// The scale plumbing lives in pp-sweep now (the cache fingerprints need
-// it); re-exported here so existing callers keep compiling.
-pub use pp_sweep::{scale_factor, scaled};
-
-/// Worker thread count: one per available core, capped at the job count.
-pub fn parallelism(jobs: usize) -> usize {
-    std::thread::available_parallelism()
-        .map_or(1, std::num::NonZero::get)
-        .min(jobs)
-        .max(1)
-}
-
-/// Simulate one workload under one configuration at the current scale.
-pub fn run_workload(workload: Workload, cfg: &SimConfig) -> SimStats {
-    let program = workload.build(scaled(workload));
-    let stats = Simulator::new(&program, cfg.clone()).run();
-    assert!(
-        !stats.hit_cycle_limit,
-        "{workload} hit the cycle limit under {cfg:?}"
-    );
-    stats
-}
-
-/// Simulate every workload under every configuration, fanning jobs out
-/// across threads. Results are returned in deterministic
-/// (workload-major, config-minor) order regardless of thread scheduling.
-pub fn run_matrix(workloads: &[Workload], configs: &[SimConfig]) -> Vec<MatrixResult> {
-    let n = parallelism(workloads.len() * configs.len());
-    run_matrix_with_workers(workloads, configs, n)
-}
-
-/// [`run_matrix`] with an explicit worker-thread count. Each simulation
-/// is self-contained, so the results — including their order — are
-/// identical for every `workers >= 1`; the determinism suite locks this
-/// in.
-///
-/// Jobs fan out through [`pp_sweep::run_stealing`], which isolates
-/// per-cell panics and retries each failing cell once. A cell that
-/// still fails panics here with a message naming the (workload, config)
-/// pair — not whatever bare message the worker thread died with.
-///
-/// # Panics
-/// Panics if any (workload, config) cell fails after a retry, naming
-/// that cell.
-pub fn run_matrix_with_workers(
-    workloads: &[Workload],
-    configs: &[SimConfig],
-    workers: usize,
-) -> Vec<MatrixResult> {
-    let jobs: Vec<(Workload, usize)> = workloads
-        .iter()
-        .flat_map(|&w| (0..configs.len()).map(move |ci| (w, ci)))
-        .collect();
-
-    let outcomes = pp_sweep::run_stealing(jobs.len(), workers, |i| {
-        let (w, ci) = jobs[i];
-        run_workload(w, &configs[ci])
-    });
-    jobs.iter()
-        .zip(outcomes)
-        .map(|(&(w, ci), outcome)| match outcome {
-            Ok(stats) => MatrixResult {
-                workload: w,
-                config_index: ci,
-                stats,
-            },
-            Err(failure) => panic!(
-                "sweep cell (workload {w}, config {ci}) failed after {} attempts: {}",
-                failure.attempts, failure.message
-            ),
-        })
-        .collect()
-}
 
 /// Harmonic mean — the paper's summary statistic for IPC across
 /// benchmarks.
@@ -138,8 +54,8 @@ pub fn speedup_pct(new: f64, old: f64) -> f64 {
 // Telemetry plumbing
 // ---------------------------------------------------------------------
 
-/// Telemetry options shared by the experiment binaries, parsed from
-/// `--telemetry-out <dir>` and `--telemetry-sample-every <n>`.
+/// Telemetry options, set by `--telemetry-out <dir>` and
+/// `--telemetry-sample-every <n>` (see [`crate::cli::SweepOpts`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TelemetryOpts {
     /// Artifact directory; telemetry is enabled iff this is set.
@@ -154,62 +70,6 @@ impl Default for TelemetryOpts {
             out_dir: None,
             sample_every: 64,
         }
-    }
-}
-
-impl TelemetryOpts {
-    /// Parse telemetry flags out of `args`, returning the options and
-    /// the arguments that were not telemetry-related (in order).
-    ///
-    /// Accepted forms: `--telemetry-out DIR`, `--telemetry-out=DIR`,
-    /// `--telemetry-sample-every N`, `--telemetry-sample-every=N`.
-    ///
-    /// `Err` carries an actionable usage message (flag missing its value
-    /// or a non-numeric interval).
-    pub fn try_parse(
-        args: impl IntoIterator<Item = String>,
-    ) -> Result<(Self, Vec<String>), String> {
-        let mut opts = TelemetryOpts::default();
-        let mut rest = Vec::new();
-        let mut it = args.into_iter();
-        while let Some(a) = it.next() {
-            if let Some(v) = a.strip_prefix("--telemetry-out=") {
-                opts.out_dir = Some(PathBuf::from(v));
-            } else if a == "--telemetry-out" {
-                let v = it
-                    .next()
-                    .ok_or("--telemetry-out needs a directory".to_string())?;
-                opts.out_dir = Some(PathBuf::from(v));
-            } else if let Some(v) = a.strip_prefix("--telemetry-sample-every=") {
-                opts.sample_every =
-                    crate::cli::try_parse_value("--telemetry-sample-every", v, "a cycle count")?;
-            } else if a == "--telemetry-sample-every" {
-                let v = it
-                    .next()
-                    .ok_or("--telemetry-sample-every needs a cycle count".to_string())?;
-                opts.sample_every =
-                    crate::cli::try_parse_value("--telemetry-sample-every", &v, "a cycle count")?;
-            } else {
-                rest.push(a);
-            }
-        }
-        Ok((opts, rest))
-    }
-
-    /// [`Self::try_parse`], exiting with a usage error (status 2) on
-    /// malformed input instead of returning it.
-    pub fn parse(args: impl IntoIterator<Item = String>) -> (Self, Vec<String>) {
-        Self::try_parse(args).unwrap_or_else(|m| crate::cli::usage_error(m))
-    }
-
-    /// Parse from the process arguments (skipping `argv[0]`).
-    pub fn from_env() -> (Self, Vec<String>) {
-        Self::parse(std::env::args().skip(1))
-    }
-
-    /// Whether an output directory was requested.
-    pub fn enabled(&self) -> bool {
-        self.out_dir.is_some()
     }
 }
 
@@ -318,51 +178,6 @@ mod tests {
     }
 
     #[test]
-    fn matrix_order_is_deterministic() {
-        std::env::set_var("PP_SCALE", "0.01");
-        let workloads = [Workload::Vortex, Workload::Compress];
-        let configs = [
-            named_config(Config::Monopath, 10),
-            named_config(Config::SeeJrs, 10),
-        ];
-        let r = run_matrix(&workloads, &configs);
-        assert_eq!(r.len(), 4);
-        assert_eq!(r[0].workload, Workload::Vortex);
-        assert_eq!(r[0].config_index, 0);
-        assert_eq!(r[1].config_index, 1);
-        assert_eq!(r[2].workload, Workload::Compress);
-        for cell in &r {
-            assert!(cell.stats.committed_instructions > 0);
-        }
-    }
-
-    #[test]
-    fn failing_matrix_cell_is_named_in_the_panic() {
-        std::env::set_var("PP_SCALE", "0.01");
-        let good = named_config(Config::Monopath, 10);
-        let mut bad = named_config(Config::Monopath, 10);
-        bad.max_cycles = 10; // guarantees hit_cycle_limit
-        let payload = std::panic::catch_unwind(|| {
-            run_matrix_with_workers(&[Workload::Compress], &[good, bad], 2)
-        })
-        .expect_err("the strangled cell must fail the matrix");
-        let msg = payload
-            .downcast_ref::<String>()
-            .expect("panic message is a String")
-            .clone();
-        assert!(msg.contains("workload compress"), "{msg}");
-        assert!(msg.contains("config 1"), "{msg}");
-        assert!(msg.contains("2 attempts"), "{msg}");
-    }
-
-    #[test]
-    fn parallelism_bounds() {
-        assert_eq!(parallelism(0), 1);
-        assert!(parallelism(4) <= 4);
-        assert!(parallelism(1000) >= 1);
-    }
-
-    #[test]
     fn geometric_mean_basics() {
         assert!((geometric_mean(&[2.0, 8.0]) - 4.0).abs() < 1e-12);
         assert!((geometric_mean(&[3.0]) - 3.0).abs() < 1e-12);
@@ -381,53 +196,6 @@ mod tests {
         assert!((speedup_frac(1.14, 1.0) - 0.14).abs() < 1e-12);
         assert!((speedup_pct(1.14, 1.0) - 14.0).abs() < 1e-12);
         assert!(speedup_pct(0.9, 1.0) < 0.0);
-    }
-
-    #[test]
-    fn telemetry_opts_parse_all_forms() {
-        let args = |v: &[&str]| {
-            v.iter()
-                .map(std::string::ToString::to_string)
-                .collect::<Vec<_>>()
-        };
-
-        let (o, rest) = TelemetryOpts::parse(args(&["results"]));
-        assert!(!o.enabled());
-        assert_eq!(o.sample_every, 64);
-        assert_eq!(rest, vec!["results".to_string()]);
-
-        let (o, rest) = TelemetryOpts::parse(args(&[
-            "--telemetry-out",
-            "results/telemetry",
-            "out",
-            "--telemetry-sample-every=32",
-        ]));
-        assert!(o.enabled());
-        assert_eq!(o.out_dir.unwrap(), PathBuf::from("results/telemetry"));
-        assert_eq!(o.sample_every, 32);
-        assert_eq!(rest, vec!["out".to_string()]);
-
-        let (o, _) = TelemetryOpts::parse(args(&[
-            "--telemetry-out=d",
-            "--telemetry-sample-every",
-            "128",
-        ]));
-        assert_eq!(o.out_dir.unwrap(), PathBuf::from("d"));
-        assert_eq!(o.sample_every, 128);
-    }
-
-    #[test]
-    fn telemetry_opts_reject_dangling_flag() {
-        let err = TelemetryOpts::try_parse(["--telemetry-out".to_string()]).unwrap_err();
-        assert!(err.contains("--telemetry-out needs a directory"), "{err}");
-    }
-
-    #[test]
-    fn telemetry_opts_reject_bad_interval() {
-        let err =
-            TelemetryOpts::try_parse(["--telemetry-sample-every=never".to_string()]).unwrap_err();
-        assert!(err.contains("--telemetry-sample-every"), "{err}");
-        assert!(err.contains("\"never\""), "{err}");
     }
 
     #[test]

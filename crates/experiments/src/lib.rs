@@ -27,8 +27,12 @@
 //! | `fig12` | Fig. 12 — IPC vs. pipeline depth |
 //! | `ablations` | five extension studies (fetch policy, resolution timing, adaptive confidence, predictors, cache) |
 //! | `input_sensitivity` | Fig. 8 headline across three input data sets |
-//! | `workload_profile` | per-workload hot-loop profiles |
 //! | `calibrate` | workload calibration table |
+//! | `fp_validation` | §5.1 FP remark — SEE on a perfectly predictable FP kernel |
+//! | `stallstack` | CPI stall stacks — per-cycle commit-slot causes across workloads × modes |
+//! | `multipath_frontier` | monopath vs. SEE vs. SEE+merge over the 2×2×2 policy cube |
+//! | `merge_oracle` | static-ipdom reconvergence oracle vs. the lexical merge hypothesis |
+//! | `workload_profile` | per-workload hot-loop profiles |
 //! | `all` | every registered experiment, written as text + CSV |
 //!
 //! The `workload_profile` binary additionally prints one workload's
@@ -48,8 +52,7 @@ pub mod suite;
 
 pub use configs::{named_config, Config, CONFIG_ORDER};
 pub use harness::{
-    geometric_mean, harmonic_mean, parallelism, run_matrix, run_matrix_with_workers, run_workload,
-    run_workload_telemetered, scale_factor, scaled, speedup_frac, speedup_pct, MatrixResult,
+    geometric_mean, harmonic_mean, run_workload_telemetered, speedup_frac, speedup_pct,
     TelemetryOpts, TelemetryWriteError,
 };
 pub use plot::Chart;

@@ -18,20 +18,20 @@ use pp_core::{
 };
 use pp_predictor::{AdaptiveConfig, H2pConfig, JrsConfig};
 use pp_sweep::{
-    run_experiment, CellResult, Experiment, ExperimentOutcome, Rendered, SweepCell, SweepEngine,
+    run_experiment, scale_factor, scaled, CellResult, Experiment, ExperimentOutcome, Rendered,
+    SweepCell, SweepEngine,
 };
 use pp_workloads::Workload;
 
 use crate::cli::SweepOpts;
 use crate::configs::{named_config, Config, CONFIG_ORDER};
 use crate::experiments::{
-    self, config_index, fig10_config, fig11_config, fig12_config, fig9_config, fig9_state_bytes,
-    Fig8, SweepPoint, BASELINE_HISTORY_BITS, FIG10_WINDOWS, FIG11_FUS, FIG12_DEPTHS, FIG9_BITS,
-    SWEEP_SERIES,
+    self, config_index, fig10_config, fig11_config, fig12_config, fig9_state_bytes, hmeans_of,
+    matrix_grid, sweep_grid, sweep_points, Fig8, SweepPoint, BASELINE_HISTORY_BITS, FIG10_WINDOWS,
+    FIG11_FUS, FIG12_DEPTHS, FIG9_BITS, SWEEP_SERIES,
 };
 use crate::harness::{
-    geometric_mean, harmonic_mean, run_workload_telemetered, scale_factor, scaled, speedup_frac,
-    speedup_pct, TelemetryOpts,
+    harmonic_mean, run_workload_telemetered, speedup_frac, speedup_pct, TelemetryOpts,
 };
 use crate::{Chart, Table};
 
@@ -42,84 +42,11 @@ const W: usize = Workload::ALL.len();
 // Grid/result helpers
 // ---------------------------------------------------------------------
 
-/// `Workload::ALL × configs` as sweep cells, workload-major — the same
-/// order `run_matrix` produces.
-fn matrix_grid(configs: &[SimConfig]) -> Vec<SweepCell> {
-    Workload::ALL
-        .iter()
-        .flat_map(|&w| configs.iter().map(move |c| SweepCell::new(w, c.clone())))
-        .collect()
-}
-
 /// The six Fig. 8 configurations at baseline history bits.
 fn baseline_configs() -> Vec<SimConfig> {
     CONFIG_ORDER
         .iter()
         .map(|&c| named_config(c, BASELINE_HISTORY_BITS))
-        .collect()
-}
-
-/// Per-configuration harmonic-mean IPC over a workload-major slice.
-fn hmeans_of(results: &[CellResult], nconfigs: usize) -> Vec<f64> {
-    (0..nconfigs)
-        .map(|ci| {
-            let ipcs: Vec<f64> = (0..results.len() / nconfigs)
-                .map(|wi| results[wi * nconfigs + ci].stats.ipc())
-                .collect();
-            harmonic_mean(&ipcs)
-        })
-        .collect()
-}
-
-/// Rebuild the [`Fig8`] analysis struct from the baseline matrix cells.
-fn fig8_from(results: &[CellResult]) -> Fig8 {
-    let n = CONFIG_ORDER.len();
-    let cells: Vec<Vec<SimStats>> = (0..W)
-        .map(|wi| {
-            (0..n)
-                .map(|ci| results[wi * n + ci].stats.clone())
-                .collect()
-        })
-        .collect();
-    let hmean_ipc = (0..n)
-        .map(|ci| {
-            let ipcs: Vec<f64> = cells.iter().map(|row| row[ci].ipc()).collect();
-            harmonic_mean(&ipcs)
-        })
-        .collect();
-    Fig8 { cells, hmean_ipc }
-}
-
-/// The grid of one scalability figure: for each x-point, the four
-/// [`SWEEP_SERIES`] configurations across all workloads.
-fn sweep_grid(xs: &[u64], make: &dyn Fn(Config, u64) -> SimConfig) -> Vec<SweepCell> {
-    xs.iter()
-        .flat_map(|&x| {
-            let configs: Vec<SimConfig> = SWEEP_SERIES.iter().map(|&c| make(c, x)).collect();
-            matrix_grid(&configs)
-        })
-        .collect()
-}
-
-/// Rebuild the per-point sweep summaries from a [`sweep_grid`]'s cells.
-fn sweep_points_from(results: &[CellResult], xs: &[u64]) -> Vec<SweepPoint> {
-    let n = SWEEP_SERIES.len();
-    let per_point = W * n;
-    xs.iter()
-        .enumerate()
-        .map(|(pi, &x)| {
-            let slice = &results[pi * per_point..(pi + 1) * per_point];
-            let mono = 1; // index of Config::Monopath in SWEEP_SERIES
-            let rates: Vec<f64> = (0..W)
-                .map(|wi| slice[wi * n + mono].stats.mispredict_rate().max(1e-6))
-                .collect();
-            SweepPoint {
-                x,
-                state_bytes: 0,
-                hmean_ipc: hmeans_of(slice, n),
-                mispredict_rate: geometric_mean(&rates),
-            }
-        })
         .collect()
 }
 
@@ -262,7 +189,7 @@ impl Experiment for Fig8Exp {
         matrix_grid(&baseline_configs())
     }
     fn render(&self, results: &[CellResult]) -> Rendered {
-        let data = fig8_from(results);
+        let data = Fig8::from_results(results);
         let mut out = String::new();
 
         let mut t = Table::new(
@@ -369,7 +296,7 @@ impl Experiment for Sec51Exp {
         matrix_grid(&baseline_configs())
     }
     fn render(&self, results: &[CellResult]) -> Rendered {
-        let data = fig8_from(results);
+        let data = Fig8::from_results(results);
         let rows = experiments::sec51(&data);
         let mut out = String::new();
 
@@ -435,7 +362,7 @@ impl Experiment for Sec52Exp {
         matrix_grid(&baseline_configs())
     }
     fn render(&self, results: &[CellResult]) -> Rendered {
-        let data = fig8_from(results);
+        let data = Fig8::from_results(results);
         let s = experiments::sec52(&data);
         let mut out = String::new();
 
@@ -516,11 +443,11 @@ impl Experiment for Fig9Exp {
     }
     fn grid(&self) -> Vec<SweepCell> {
         let xs: Vec<u64> = FIG9_BITS.iter().map(|&b| b as u64).collect();
-        sweep_grid(&xs, &|c, bits| fig9_config(c, bits as u32))
+        sweep_grid(&xs, &|c, bits| named_config(c, bits as u32))
     }
     fn render(&self, results: &[CellResult]) -> Rendered {
         let xs: Vec<u64> = FIG9_BITS.iter().map(|&b| b as u64).collect();
-        let mut points = sweep_points_from(results, &xs);
+        let mut points = sweep_points(results, &xs);
         for p in &mut points {
             p.state_bytes = fig9_state_bytes(p.x as u32);
         }
@@ -587,7 +514,7 @@ impl Experiment for Fig10Exp {
     fn render(&self, results: &[CellResult]) -> Rendered {
         let xs: Vec<u64> = FIG10_WINDOWS.iter().map(|&w| w as u64).collect();
         let sweep_cells = xs.len() * SWEEP_SERIES.len() * W;
-        let points = sweep_points_from(&results[..sweep_cells], &xs);
+        let points = sweep_points(&results[..sweep_cells], &xs);
         let occupancy = &results[sweep_cells..];
         let mut out = String::new();
 
@@ -636,7 +563,7 @@ impl Experiment for Fig11Exp {
     }
     fn render(&self, results: &[CellResult]) -> Rendered {
         let xs: Vec<u64> = FIG11_FUS.iter().map(|&n| n as u64).collect();
-        let points = sweep_points_from(results, &xs);
+        let points = sweep_points(results, &xs);
         let mut out = String::new();
 
         let _ = writeln!(
@@ -674,7 +601,7 @@ impl Experiment for Fig12Exp {
     }
     fn render(&self, results: &[CellResult]) -> Rendered {
         let xs: Vec<u64> = FIG12_DEPTHS.iter().map(|&d| d as u64).collect();
-        let points = sweep_points_from(results, &xs);
+        let points = sweep_points(results, &xs);
         let mut out = String::new();
 
         let _ = writeln!(out, "Fig. 12 — IPC vs. pipeline depth (harmonic mean)");
@@ -1925,6 +1852,17 @@ mod tests {
             assert_eq!(find(n).unwrap().name(), *n);
         }
         assert!(find("frobnicate").is_none());
+    }
+
+    #[test]
+    fn crate_doc_lists_every_registered_experiment() {
+        let doc = include_str!("lib.rs");
+        for n in names() {
+            assert!(
+                doc.contains(&format!("| `{n}` |")),
+                "experiment `{n}` is missing from the table in src/lib.rs"
+            );
+        }
     }
 
     #[test]

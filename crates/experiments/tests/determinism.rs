@@ -1,32 +1,49 @@
-//! Harness-level determinism: `run_matrix` must produce bit-identical
-//! `MatrixResult` vectors run-to-run *and* across worker-thread counts.
+//! Sweep determinism: the engine behind `sweep run` must produce
+//! bit-identical results run-to-run *and* across worker-thread counts.
 //!
 //! The paper's evaluation (and the golden-equivalence suite) lean on
 //! this: a sweep is only comparable to a previous sweep if thread
 //! scheduling can never leak into simulated results or their order.
 
-use pp_experiments::{named_config, run_matrix, run_matrix_with_workers, Config, MatrixResult};
+use pp_experiments::{named_config, Config};
+use pp_sweep::{CellResult, SweepCell, SweepEngine};
 use pp_workloads::Workload;
 
-fn configs() -> Vec<pp_core::SimConfig> {
-    vec![
+/// Every workload under monopath and SEE/JRS at 10 history bits,
+/// workload-major.
+fn grid() -> Vec<SweepCell> {
+    let configs = [
         named_config(Config::Monopath, 10),
         named_config(Config::SeeJrs, 10),
-    ]
+    ];
+    Workload::ALL
+        .iter()
+        .flat_map(|&w| configs.iter().map(move |c| SweepCell::new(w, c.clone())))
+        .collect()
 }
 
-fn assert_identical(a: &[MatrixResult], b: &[MatrixResult], what: &str) {
+/// Run `grid` through an uncached engine; every cell must complete.
+fn run(engine: SweepEngine, grid: &[SweepCell]) -> Vec<CellResult> {
+    let report = engine.run(grid);
+    assert!(report.all_completed(), "{}", report.summary());
+    assert_eq!(report.simulated(), grid.len(), "{}", report.summary());
+    report.completed_owned()
+}
+
+fn assert_identical(a: &[CellResult], b: &[CellResult], what: &str) {
     assert_eq!(a.len(), b.len(), "{what}: result count differs");
     for (x, y) in a.iter().zip(b) {
         assert_eq!(
-            (x.workload, x.config_index),
-            (y.workload, y.config_index),
+            (x.index, &x.cell),
+            (y.index, &y.cell),
             "{what}: cell order differs"
         );
         assert_eq!(
-            x.stats, y.stats,
-            "{what}: stats differ for {} / config {}",
-            x.workload, x.config_index
+            x.stats,
+            y.stats,
+            "{what}: stats differ for {} [{}]",
+            x.cell.label(),
+            x.cell.config_summary()
         );
     }
 }
@@ -36,25 +53,26 @@ fn matrix_identical_across_runs_and_worker_counts() {
     // This test binary runs alone in its own process, so scaling the
     // workloads down here cannot race with other tests.
     std::env::set_var("PP_SCALE", "0.005");
-    let workloads = Workload::ALL;
-    let configs = configs();
+    let grid = grid();
 
-    let serial = run_matrix_with_workers(&workloads, &configs, 1);
-    assert_eq!(serial.len(), workloads.len() * configs.len());
-    for cell in &serial {
+    let serial = run(SweepEngine::new().with_workers(1), &grid);
+    assert_eq!(serial.len(), Workload::ALL.len() * 2);
+    for (i, cell) in serial.iter().enumerate() {
+        assert_eq!(cell.index, i);
+        assert_eq!(cell.cell, grid[i]);
         assert!(cell.stats.committed_instructions > 0);
         assert!(!cell.stats.hit_cycle_limit);
     }
 
     // Same worker count, run twice: identical.
-    let serial2 = run_matrix_with_workers(&workloads, &configs, 1);
+    let serial2 = run(SweepEngine::new().with_workers(1), &grid);
     assert_identical(&serial, &serial2, "serial repeat");
 
     // A second worker count: identical to serial.
-    let threaded = run_matrix_with_workers(&workloads, &configs, 4);
+    let threaded = run(SweepEngine::new().with_workers(4), &grid);
     assert_identical(&serial, &threaded, "1 vs 4 workers");
 
-    // And the default entry point (however many cores CI has).
-    let auto = run_matrix(&workloads, &configs);
+    // And the default worker count (however many cores CI has).
+    let auto = run(SweepEngine::new(), &grid);
     assert_identical(&serial, &auto, "1 worker vs default");
 }

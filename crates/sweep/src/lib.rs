@@ -40,5 +40,5 @@ pub use engine::{SweepEngine, SweepReport, DEFAULT_CACHE_DIR};
 pub use error::{CellError, CellErrorKind};
 pub use experiment::{run_experiment, Experiment, ExperimentOutcome, Rendered};
 pub use fingerprint::{fingerprint_hex, fnv1a64};
-pub use scheduler::{payload_message, run_stealing, JobFailure};
+pub use scheduler::payload_message;
 pub use store::ResultStore;

@@ -19,7 +19,7 @@ use std::sync::Mutex;
 
 /// A job that panicked on every attempt.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct JobFailure {
+pub(crate) struct JobFailure {
     /// Attempts made (always 2: initial + one retry).
     pub attempts: u32,
     /// The final panic's payload, when it was a string (the common
@@ -42,7 +42,7 @@ pub fn payload_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// returning per-job results **in job-index order** regardless of
 /// scheduling. `run(i)` executes job `i`; a panic inside it is caught,
 /// retried once, and surfaced as `Err(JobFailure)` for that job alone.
-pub fn run_stealing<T, F>(jobs: usize, workers: usize, run: F) -> Vec<Result<T, JobFailure>>
+pub(crate) fn run_stealing<T, F>(jobs: usize, workers: usize, run: F) -> Vec<Result<T, JobFailure>>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
