@@ -862,6 +862,86 @@ fn all_extensions_together_cosimulate() {
 }
 
 #[test]
+fn unaligned_words_straddling_a_page_boundary_all_modes() {
+    // Data memory is paged (4 KiB): a word whose bytes lie in two pages
+    // takes a different path from one that fits in a page. Eight unaligned
+    // words at page offsets 4088..=4095 each straddle the boundary (except
+    // the first, the last word that fits); each is loaded, stored, patched
+    // with byte stores and read back. A plain byte-array model of the same
+    // program pins the values independently of `pp_func::Memory`.
+    const PAGE: u64 = 4096;
+    let init: Vec<i64> = (1..=8i64)
+        .map(|k| k.wrapping_mul(0x0123_4567_89ab_cdef) ^ (k << 56))
+        .collect();
+    let mut window_base = 0;
+    let mut result = 0;
+    let p = assemble(|a| {
+        let cursor = a.alloc_zeroed(0);
+        let boundary = (cursor + 16).next_multiple_of(PAGE);
+        a.alloc_zeroed(((boundary - 16 - cursor) / 8) as usize);
+        window_base = a.alloc_words(&init);
+        assert_eq!(window_base, boundary - 16);
+        result = a.alloc_zeroed(1);
+
+        a.li(reg::GP, (boundary - 8) as i64); // page offset 4088
+        a.li(reg::S0, 0); // i
+        a.li(reg::S1, 0); // checksum
+        let top = a.here();
+        a.add(reg::T0, reg::GP, reg::S0); // page offset 4088 + i
+        a.ld(reg::T1, reg::T0, 0);
+        a.xor(reg::S1, reg::S1, reg::T1);
+        a.mul(reg::T2, reg::T1, 3i64);
+        a.add(reg::T2, reg::T2, reg::S0);
+        a.st(reg::T2, reg::T0, 0);
+        a.ld(reg::T3, reg::T0, 0);
+        a.xor(reg::S1, reg::S1, reg::T3);
+        a.stb(reg::S0, reg::T0, 7);
+        a.stb(reg::S1, reg::T0, 3);
+        a.ld(reg::T4, reg::T0, 0);
+        a.add(reg::S1, reg::S1, reg::T4);
+        a.ldb(reg::T5, reg::T0, 7);
+        a.add(reg::S1, reg::S1, reg::T5);
+        a.addi(reg::S0, reg::S0, 1);
+        a.blt(reg::S0, Operand::imm(8), top);
+        a.li(reg::A0, result as i64);
+        a.st(reg::S1, reg::A0, 0);
+        a.halt();
+    });
+
+    // Byte-array model over [window_base, result + 8).
+    let mut bytes: Vec<u8> = init.iter().flat_map(|w| w.to_le_bytes()).collect();
+    bytes.resize((result + 8 - window_base) as usize, 0);
+    let ld = |b: &[u8], at: usize| i64::from_le_bytes(b[at..at + 8].try_into().unwrap());
+    let mut s1 = 0i64;
+    for i in 0..8usize {
+        let at = 8 + i;
+        let t1 = ld(&bytes, at);
+        s1 ^= t1;
+        let t2 = t1.wrapping_mul(3).wrapping_add(i as i64);
+        bytes[at..at + 8].copy_from_slice(&t2.to_le_bytes());
+        s1 ^= ld(&bytes, at);
+        bytes[at + 7] = i as u8;
+        bytes[at + 3] = s1 as u8;
+        s1 = s1.wrapping_add(ld(&bytes, at));
+        s1 = s1.wrapping_add(i64::from(bytes[at + 7]));
+    }
+    let n = bytes.len() - 8;
+    bytes[n..].copy_from_slice(&s1.to_le_bytes());
+
+    // `run_checked` holds every mode's final memory to the emulator's.
+    let mut emu = Emulator::new(&p);
+    emu.run(100_000).expect("reference run halts");
+    let got: Vec<u8> = (0..bytes.len() as u64)
+        .map(|k| emu.memory().read_u8(window_base + k))
+        .collect();
+    assert_eq!(got, bytes, "final bytes differ from the model");
+    for (name, cfg) in all_modes() {
+        let s = run_checked(&p, cfg);
+        assert_eq!(s.committed_instructions, 6 + 8 * 16, "{name}");
+    }
+}
+
+#[test]
 fn byte_store_forwarded_to_byte_load_is_narrowed() {
     // Regression (fuzz_check seed 1293): a byte store's buffered word was
     // forwarded un-narrowed to a byte load. The forwarded value must look

@@ -35,6 +35,12 @@
 //! un-instrumented makes KIPS reflect the simulator alone. Baselines
 //! must be captured with the same methodology to be comparable.
 //!
+//! Set-up is timed too: each timing run also measures `Simulator::new`
+//! (loading the program's data segments into memory, building the
+//! predictor tables), and the report carries the minimum as `new_s`
+//! per run and its sum in the aggregate. `run()` wall time and KIPS
+//! exclude it.
+//!
 //! `--repeat N` runs the timing run N times per pair and keeps the
 //! **minimum** wall time. Host-side noise (frequency scaling, other
 //! tenants) only ever adds time, so min-of-N estimates the undisturbed
@@ -78,6 +84,8 @@ struct RunReport {
     wall_s: Option<f64>,
     /// Simulated KIPS from the minimum valid wall time.
     kips: Option<f64>,
+    /// Minimum `Simulator::new` time over the repeat runs.
+    new_s: f64,
     phases: Vec<(&'static str, f64)>,
 }
 
@@ -99,9 +107,14 @@ fn run_one(
     // information, and letting it win the min would turn KIPS into
     // infinity/garbage — so sub-resolution samples are skipped.
     let mut wall: Option<std::time::Duration> = None;
+    let mut new_min = std::time::Duration::MAX;
     let mut stats = None;
     for _ in 0..repeat {
-        let mut sim = Simulator::new(&program, cfg.clone());
+        let run_cfg = cfg.clone();
+        let start = std::time::Instant::now();
+        let mut sim = Simulator::new(&program, run_cfg);
+        let built = start.elapsed();
+        new_min = new_min.min(built);
         let start = std::time::Instant::now();
         let s = sim.run();
         let elapsed = start.elapsed();
@@ -133,6 +146,7 @@ fn run_one(
         cycles: stats.cycles,
         wall_s: wall.map(|w| w.as_secs_f64()),
         kips: wall.map(|w| stats.committed_instructions as f64 / w.as_secs_f64() / 1e3),
+        new_s: new_min.as_secs_f64(),
         phases: host
             .phases()
             .iter()
@@ -186,9 +200,11 @@ fn main() {
     // averaged in as zero.
     let mut total_committed = 0u64;
     let mut total_wall = 0.0f64;
+    let mut total_new = 0.0f64;
     for w in Workload::ALL {
         for c in BENCH_CONFIGS {
             let r = run_one(w, c, repeat, fetch_policy);
+            total_new += r.new_s;
             match (r.kips, r.wall_s) {
                 (Some(kips), Some(wall_s)) => {
                     println!(
@@ -217,6 +233,11 @@ fn main() {
         Some(k) => println!("aggregate: {k:.1} simulated KIPS over {} runs", runs.len()),
         None => println!("aggregate: n/a (no run registered a wall time)"),
     }
+    println!(
+        "set-up: {:.3} ms of Simulator::new over {} runs",
+        total_new * 1e3,
+        runs.len()
+    );
 
     // Wall-clock capture time, so the trajectory orders and dates its
     // entries (host clock; never a simulation input).
@@ -251,7 +272,7 @@ fn main() {
     let agg = aggregate_kips.map_or("null".to_string(), |v| format!("{v:.1}"));
     let _ = writeln!(
         j,
-        "  \"aggregate\": {{\"committed\": {total_committed}, \"wall_s\": {total_wall:.6}, \"kips\": {agg}}}{}",
+        "  \"aggregate\": {{\"committed\": {total_committed}, \"wall_s\": {total_wall:.6}, \"kips\": {agg}, \"new_s\": {total_new:.6}}}{}",
         if baseline.is_some() { "," } else { "" }
     );
     if let Some(bpath) = &baseline {
@@ -294,13 +315,14 @@ fn run_json(r: &RunReport) -> String {
     let wall_s = r.wall_s.map_or("null".to_string(), |v| format!("{v:.6}"));
     let kips = r.kips.map_or("null".to_string(), |v| format!("{v:.1}"));
     format!(
-        "{{\"workload\": \"{}\", \"config\": \"{}\", \"committed\": {}, \"cycles\": {}, \"wall_s\": {}, \"kips\": {}, \"phases_s\": {{{}}}}}",
+        "{{\"workload\": \"{}\", \"config\": \"{}\", \"committed\": {}, \"cycles\": {}, \"wall_s\": {}, \"kips\": {}, \"new_s\": {:.6}, \"phases_s\": {{{}}}}}",
         json::escape(r.workload),
         json::escape(r.config),
         r.committed,
         r.cycles,
         wall_s,
         kips,
+        r.new_s,
         phases.join(", "),
     )
 }
@@ -340,7 +362,9 @@ fn append_trajectory(existing: Option<String>, entry: &str) -> String {
 /// Check that `text` parses as JSON and has the shape consumers expect:
 /// either a `trajectory-v1` file (non-empty `"trajectory"` array of
 /// report objects, each with a `"runs"` array) or a legacy single
-/// report. Returns a one-line summary.
+/// report. A `new_s` set-up time, where a run or aggregate carries one
+/// (older entries do not), must be a non-negative number. Returns a
+/// one-line summary.
 fn validate_report(text: &str) -> Result<String, String> {
     let root = json::parse(text).map_err(|e| e.to_string())?;
     if root.as_object().is_none() {
@@ -365,6 +389,7 @@ fn validate_report(text: &str) -> Result<String, String> {
                 Some(0) => return Err(format!("trajectory[{i}] has zero runs")),
                 Some(_) => {}
             }
+            check_new_s(e).map_err(|m| format!("trajectory[{i}]: {m}"))?;
         }
         Ok(format!(
             "trajectory of {} report(s), latest with {} runs",
@@ -375,9 +400,28 @@ fn validate_report(text: &str) -> Result<String, String> {
         match runs_of(&root) {
             None => Err("neither \"trajectory\" nor \"runs\" present".into()),
             Some(0) => Err("legacy report has zero runs".into()),
-            Some(n) => Ok(format!("legacy single report with {n} runs")),
+            Some(n) => {
+                check_new_s(&root)?;
+                Ok(format!("legacy single report with {n} runs"))
+            }
         }
     }
+}
+
+/// The optional `new_s` of each run and of the aggregate in one report
+/// is a non-negative number.
+fn check_new_s(report: &json::Value) -> Result<(), String> {
+    let runs = report.get("runs").and_then(json::Value::as_array);
+    let holders = runs.into_iter().flatten().chain(report.get("aggregate"));
+    for holder in holders {
+        if let Some(v) = holder.get("new_s") {
+            match v.as_f64() {
+                Some(s) if s >= 0.0 => {}
+                _ => return Err(format!("\"new_s\" is not a non-negative number: {v:?}")),
+            }
+        }
+    }
+    Ok(())
 }
 
 /// `aggregate.kips` of the newest capture: the last trajectory entry,
@@ -424,6 +468,50 @@ mod tests {
         let upgraded = append_trajectory(Some(ENTRY.to_string()), ENTRY);
         let summary = validate_report(&upgraded).unwrap();
         assert!(summary.contains("2 report(s)"), "{summary}");
+    }
+
+    #[test]
+    fn entries_with_set_up_time_validate() {
+        let timed = ENTRY
+            .replace(
+                "\"kips\": 5.0}\n  ]",
+                "\"kips\": 5.0, \"new_s\": 0.000042}\n  ]",
+            )
+            .replace(
+                "\"kips\": 5.0}\n}",
+                "\"kips\": 5.0, \"new_s\": 0.000061}\n}",
+            );
+        assert_eq!(timed.matches("new_s").count(), 2, "{timed}");
+        // A v1 entry without `new_s` followed by one with it.
+        let text = append_trajectory(Some(append_trajectory(None, ENTRY)), &timed);
+        assert!(validate_report(&text).unwrap().contains("2 report(s)"));
+        assert!(validate_report(&timed).unwrap().contains("legacy"));
+
+        for bad in ["\"fast\"", "-0.5", "null"] {
+            let broken = timed.replace("0.000042", bad);
+            let text = append_trajectory(None, &broken);
+            let err = validate_report(&text).unwrap_err();
+            assert!(err.contains("new_s"), "{bad}: {err}");
+        }
+    }
+
+    #[test]
+    fn run_json_carries_set_up_time() {
+        let r = RunReport {
+            workload: "vortex",
+            config: "gshare/JRS",
+            committed: 10,
+            cycles: 20,
+            wall_s: Some(0.5),
+            kips: Some(0.02),
+            new_s: 0.000125,
+            phases: vec![("fetch", 0.25)],
+        };
+        let run = json::parse(&run_json(&r)).unwrap();
+        assert_eq!(
+            run.get("new_s").and_then(json::Value::as_f64),
+            Some(0.000125)
+        );
     }
 
     #[test]
@@ -498,6 +586,7 @@ mod tests {
             cycles: 20,
             wall_s: None,
             kips: None,
+            new_s: 0.0,
             phases: vec![("fetch", 0.5)],
         };
         let line = run_json(&r);
