@@ -1,31 +1,25 @@
-//! Repo-specific lint rules over the workspace source.
+//! Repo-specific lint rules over the workspace source that rustc and
+//! clippy cannot express:
 //!
-//! Five rules, each with a named diagnostic and an allowlist (see
-//! `crates/analyze/lint.allow`):
-//!
-//! * **L1-hot-loop-panic** — no `unwrap`/`expect`/`panic!`-family calls
-//!   inside the five-phase hot loop of `crates/core/src/sim.rs`, outside
-//!   `debug_assert`-gated or `#[cfg(debug_assertions)]`/`#[cfg(test)]`
-//!   code. Documented invariant `expect`s are allowlisted individually,
-//!   with their message as the matching key, so a *new* panic site fails
-//!   the build until it is justified.
 //! * **L2-stats-encapsulation** — counter structs the simulator owns
 //!   ([`ENCAPSULATED_COUNTERS`]: `SimStats`, `StallStack`) are mutated
 //!   only where the producer discipline can see them: inside `sim.rs`
 //!   and the defining file. Field names are parsed from the defining
-//!   file, so the rule tracks each struct automatically.
-//! * **L3-determinism** — no host-time or environment reads outside
-//!   `selfprof.rs`, `crates/sweep`, `crates/serve`, and this crate:
-//!   simulation results must be a pure function of (workload, seed,
-//!   config) or the `pp-sweep` result cache would serve stale science.
-//! * **L4-config-canonical-json** — every `SimConfig` field appears in
-//!   `to_canonical_json` (field list parsed from `config.rs`), keeping
-//!   the cache fingerprint complete as the config grows.
+//!   file, so the rule tracks each struct automatically. Rust has no
+//!   read-only `pub` fields, so no compiler check can take this over.
 //! * **L5-policy-token-table** — every `pub enum` reachable through
 //!   `SimConfig`'s field types (transitively, through the nested config
 //!   structs it embeds) carries an `impl Policy for <Enum>` token table
 //!   in `crates/core/src/policy.rs`, so canonical JSON, CLI parsing, and
 //!   sweep labels can never drift apart for a new policy axis.
+//!
+//! The compiler enforces the other three rules (DESIGN.md §3f): L1 (no
+//! panics in the hot loop) is a `#![deny]` of the panic-family clippy
+//! lints on `crates/core/src/sim.rs` with one `#[expect]` per documented
+//! invariant; L3 (no host time or environment reads) is the
+//! `disallowed-methods` list in the workspace `clippy.toml`; L4 (every
+//! `SimConfig` field in the canonical JSON) is the exhaustive
+//! destructuring in `SimConfig::to_canonical_json`.
 //!
 //! The pass is lexical (see [`crate::rustsrc`]): the workspace has no
 //! external dependencies, so a `syn`-based implementation is not
@@ -36,15 +30,12 @@
 use std::fmt;
 use std::path::{Path, PathBuf};
 
-use crate::rustsrc::{
-    blank_noncode, blank_spans, brace_span, cfg_debug_spans, cfg_test_spans, debug_assert_spans,
-    fn_span, line_of, line_text,
-};
+use crate::rustsrc::{blank_noncode, blank_spans, brace_span, cfg_test_spans, line_of, line_text};
 
-/// A lint diagnostic that survived the allowlist.
+/// A lint diagnostic.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
-    /// Rule identifier, e.g. `L1-hot-loop-panic`.
+    /// Rule identifier, e.g. `L2-stats-encapsulation`.
     pub rule: &'static str,
     /// Repo-relative path.
     pub path: String,
@@ -64,135 +55,14 @@ impl fmt::Display for Finding {
     }
 }
 
-/// One parsed allowlist entry: suppress findings of `rule` in `path`
-/// whose source line contains `needle`.
-#[derive(Debug, Clone)]
-struct Allow {
-    rule: String,
-    path: String,
-    needle: String,
-}
-
-/// Parse `lint.allow`: `RULE PATH "needle" — justification` per line,
-/// `#` comments and blank lines ignored. The justification is
-/// mandatory prose; the parser only demands it is non-empty.
-fn parse_allowlist(text: &str) -> Result<Vec<Allow>, String> {
-    let mut out = Vec::new();
-    for (i, raw) in text.lines().enumerate() {
-        let line = raw.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let err = |what: &str| format!("lint.allow:{}: {what}: {raw}", i + 1);
-        let (rule, rest) = line.split_once(' ').ok_or_else(|| err("missing path"))?;
-        let (path, rest) = rest
-            .trim_start()
-            .split_once(' ')
-            .ok_or_else(|| err("missing needle"))?;
-        let rest = rest.trim_start();
-        let inner = rest
-            .strip_prefix('"')
-            .and_then(|r| r.split_once('"'))
-            .ok_or_else(|| err("needle must be double-quoted"))?;
-        let (needle, justification) = inner;
-        if justification.trim().is_empty() {
-            return Err(err("missing justification after the needle"));
-        }
-        out.push(Allow {
-            rule: rule.to_string(),
-            path: path.to_string(),
-            needle: needle.to_string(),
-        });
-    }
-    Ok(out)
-}
-
-/// The functions making up the five-phase hot loop in `sim.rs`: the
-/// per-cycle driver, the five phase roots, and their helpers. A listed
-/// name disappearing from the file is itself reported (the rule must
-/// not rot silently when code is renamed).
-pub const HOT_LOOP_FNS: &[&str] = &[
-    "cycle",
-    "do_commit",
-    "commit_entry",
-    "commit_branch",
-    "commit_return",
-    "release_branch_position",
-    "do_writeback_and_resolve",
-    "resolve_branch",
-    "kill_subtree",
-    "do_issue",
-    "do_dispatch",
-    "dispatch_one",
-    "do_fetch",
-    "fetch_arbitrate",
-    "fetch_path",
-    "fetch_cond_branch",
-    "finish_merge",
-    "merge_check",
-    "fetch_indirect",
-    "push_fetched",
-    "push_fetched_with_tag",
-];
-
-const PANIC_TOKENS: &[&str] = &[
-    ".unwrap()",
-    ".expect(",
-    "panic!",
-    "unreachable!",
-    "todo!",
-    "unimplemented!",
-];
-
-/// Host-time / environment tokens forbidden by L3.
-const NONDETERMINISM_TOKENS: &[&str] = &[
-    "Instant::now",
-    "SystemTime",
-    "env::var",
-    "env::vars",
-    "env::args",
-    "env::temp_dir",
-    "temp_dir()",
-    "process::id()",
-];
-
-/// Directories/files where L3 tokens are allowed by design (host timing
-/// and environment access are these components' purpose).
-const DETERMINISM_EXEMPT: &[&str] = &[
-    "crates/core/src/selfprof.rs",
-    "crates/sweep/",
-    "crates/analyze/",
-    "crates/serve/",
-];
-
-/// Run every rule over the workspace rooted at `root` and return the
-/// findings that no allowlist entry covers.
+/// Run both rules over the workspace rooted at `root` and return their
+/// findings.
 pub fn run(root: &Path) -> Result<Vec<Finding>, String> {
-    let allow_text = std::fs::read_to_string(root.join("crates/analyze/lint.allow"))
-        .map_err(|e| format!("reading crates/analyze/lint.allow: {e}"))?;
-    let allows = parse_allowlist(&allow_text)?;
     let files = workspace_sources(root)?;
     let mut findings = Vec::new();
-    lint_hot_loop(root, &mut findings)?;
     lint_stats_encapsulation(root, &files, &mut findings)?;
-    lint_determinism(root, &files, &mut findings)?;
-    lint_config_canonical_json(root, &mut findings)?;
     lint_policy_token_tables(root, &mut findings)?;
-    findings.retain(|f| {
-        !allows.iter().any(|a| {
-            a.rule == f.rule
-                && a.path == f.path
-                && read_line(root, &f.path, f.line).contains(&a.needle)
-        })
-    });
     Ok(findings)
-}
-
-fn read_line(root: &Path, rel: &str, line: usize) -> String {
-    std::fs::read_to_string(root.join(rel))
-        .ok()
-        .and_then(|s| s.lines().nth(line - 1).map(str::to_string))
-        .unwrap_or_default()
 }
 
 /// All `.rs` files under `crates/*/src` and the root package's `src/`,
@@ -238,53 +108,12 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), String> {
     Ok(())
 }
 
-/// Blanked source with test/debug-gated spans erased: what the rules
-/// actually scan.
+/// Blanked source with `#[cfg(test)]` items erased: what L2 scans.
 fn scannable(src: &str) -> String {
     let mut blanked = blank_noncode(src);
-    let mut spans = cfg_test_spans(&blanked);
-    spans.extend(cfg_debug_spans(&blanked));
-    spans.extend(debug_assert_spans(&blanked));
+    let spans = cfg_test_spans(&blanked);
     blank_spans(&mut blanked, &spans);
     blanked
-}
-
-fn lint_hot_loop(root: &Path, findings: &mut Vec<Finding>) -> Result<(), String> {
-    let rel = "crates/core/src/sim.rs";
-    let src = std::fs::read_to_string(root.join(rel)).map_err(|e| format!("{rel}: {e}"))?;
-    let blanked = scannable(&src);
-    for name in HOT_LOOP_FNS {
-        let Some((start, end)) = fn_span(&blanked, name) else {
-            findings.push(Finding {
-                rule: "L1-hot-loop-panic",
-                path: rel.to_string(),
-                line: 1,
-                message: format!(
-                    "hot-loop function `{name}` not found in sim.rs — update \
-                     HOT_LOOP_FNS in pp-analyze if it was renamed"
-                ),
-            });
-            continue;
-        };
-        let body = &blanked[start..end];
-        for token in PANIC_TOKENS {
-            let mut from = 0;
-            while let Some(rel_at) = body[from..].find(token) {
-                let at = start + from + rel_at;
-                findings.push(Finding {
-                    rule: "L1-hot-loop-panic",
-                    path: rel.to_string(),
-                    line: line_of(&src, at),
-                    message: format!(
-                        "`{token}` in hot-loop fn `{name}`: `{}`",
-                        line_text(&src, at)
-                    ),
-                });
-                from += rel_at + token.len();
-            }
-        }
-    }
-    Ok(())
 }
 
 /// Parse `pub <ident>:` field names from the named struct.
@@ -416,74 +245,6 @@ fn is_assignment_after(blanked: &str, at: usize) -> bool {
         Some(b'>') => b.get(1) == Some(&b'>') && b.get(2) == Some(&b'='),
         _ => false,
     }
-}
-
-fn lint_determinism(
-    root: &Path,
-    files: &[String],
-    findings: &mut Vec<Finding>,
-) -> Result<(), String> {
-    for rel in files {
-        if DETERMINISM_EXEMPT.iter().any(|ex| rel.starts_with(ex)) {
-            continue;
-        }
-        let src = std::fs::read_to_string(root.join(rel)).map_err(|e| format!("{rel}: {e}"))?;
-        let blanked = scannable(&src);
-        for token in NONDETERMINISM_TOKENS {
-            let mut from = 0;
-            while let Some(rel_at) = blanked[from..].find(token) {
-                let at = from + rel_at;
-                from = at + token.len();
-                findings.push(Finding {
-                    rule: "L3-determinism",
-                    path: rel.clone(),
-                    line: line_of(&src, at),
-                    message: format!(
-                        "host time/environment read `{token}` outside \
-                         selfprof/sweep/serve: `{}`",
-                        line_text(&src, at)
-                    ),
-                });
-            }
-        }
-    }
-    Ok(())
-}
-
-fn lint_config_canonical_json(root: &Path, findings: &mut Vec<Finding>) -> Result<(), String> {
-    let rel = "crates/core/src/config.rs";
-    let src = std::fs::read_to_string(root.join(rel)).map_err(|e| format!("{rel}: {e}"))?;
-    let blanked = blank_noncode(&src);
-    let fields = struct_fields(&src, &blanked, "SimConfig")?;
-    let Some((start, end)) = fn_span(&blanked, "to_canonical_json") else {
-        findings.push(Finding {
-            rule: "L4-config-canonical-json",
-            path: rel.to_string(),
-            line: 1,
-            message: "fn to_canonical_json not found in config.rs".to_string(),
-        });
-        return Ok(());
-    };
-    // Keys live inside string literals, so search the *raw* source span.
-    // A key appears either plainly quoted (`"mode"` inside a raw/outer
-    // literal) or escaped (`\"mode\"` inside a format string).
-    let body = &src[start..end];
-    for field in &fields {
-        let plain = format!("\"{field}\"");
-        let escaped = format!("\\\"{field}\\\"");
-        if !body.contains(&plain) && !body.contains(&escaped) {
-            findings.push(Finding {
-                rule: "L4-config-canonical-json",
-                path: rel.to_string(),
-                line: line_of(&src, start),
-                message: format!(
-                    "SimConfig field `{field}` missing from to_canonical_json — \
-                     the sweep-cache fingerprint would ignore it"
-                ),
-            });
-        }
-    }
-    Ok(())
 }
 
 /// Files scanned for the type declarations behind `SimConfig`'s fields:
@@ -637,26 +398,6 @@ fn lint_policy_token_tables(root: &Path, findings: &mut Vec<Finding>) -> Result<
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn allowlist_parses_and_rejects_malformed() {
-        let ok = parse_allowlist(
-            "# comment\n\
-             L1-hot-loop-panic crates/core/src/sim.rs \"msg text\" — documented invariant\n",
-        )
-        .unwrap();
-        assert_eq!(ok.len(), 1);
-        assert_eq!(ok[0].needle, "msg text");
-        assert!(parse_allowlist("L1 path").is_err(), "missing needle");
-        assert!(
-            parse_allowlist("L1 path \"n\"").is_err(),
-            "missing justification"
-        );
-        assert!(
-            parse_allowlist("L1 path unquoted just").is_err(),
-            "unquoted needle"
-        );
-    }
 
     #[test]
     fn assignment_detector_distinguishes_ops() {

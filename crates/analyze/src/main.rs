@@ -1,7 +1,9 @@
 //! `pp-analyze` CLI: `check` (exhaustive CTX-protocol model checking),
-//! `lint` (workspace lint pass), and `cfg` (static CFG + reconvergence
-//! analysis over the workload suite). All exit nonzero on violation so
-//! CI can gate on them.
+//! `lint` (workspace lint rules L2 and L5), and `cfg` (static CFG +
+//! reconvergence analysis over the workload suite). All exit nonzero on
+//! violation so CI can gate on them.
+
+#![allow(clippy::disallowed_methods, reason = "CLI parsing its own argv")]
 
 use std::process::ExitCode;
 
@@ -21,8 +23,7 @@ commands:
              --mutation M     none | ignore-epoch-staleness |
                               skip-commit-broadcast | kill-ignores-direction |
                               skip-merge-resume
-  lint     run the workspace lint rules (L1..L5)
-             --root PATH      workspace root (default: this repo)
+  lint     run the workspace lint rules that clippy cannot express (L2, L5)
   cfg      static CFG + post-dominator reconvergence analysis of the
            SPECint95-analog workloads (per-workload statistics table)
              --workload NAME  one analog (default: all eight)
@@ -182,20 +183,13 @@ fn run_cfg(args: &[String]) -> ExitCode {
 }
 
 fn run_lint(args: &[String]) -> ExitCode {
-    let mut root = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+    if let Some(flag) = args.first() {
+        return usage_error(&format!("unknown flag `{flag}`"));
+    }
+    let root = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("../..")
         .canonicalize()
         .expect("workspace root exists");
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--root" => match it.next() {
-                Some(p) => root = std::path::PathBuf::from(p),
-                None => return usage_error("--root needs a value"),
-            },
-            other => return usage_error(&format!("unknown flag `{other}`")),
-        }
-    }
     match lint::run(&root) {
         Err(e) => {
             eprintln!("error: {e}");

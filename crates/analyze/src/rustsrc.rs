@@ -5,10 +5,8 @@
 //! file in which every byte inside a comment, string literal, or char
 //! literal is replaced by a space (newlines are preserved so line
 //! numbers survive). Substring scans over the blanked text then see
-//! only real code tokens. On top of that, [`blank_spans`]-based helpers
-//! erase regions the rules must ignore: `#[cfg(test)]` items,
-//! `debug_assert…!(…)` argument lists, and `#[cfg(debug_assertions)]`
-//! items.
+//! only real code tokens. On top of that, [`blank_spans`] erases the
+//! `#[cfg(test)]` items ([`cfg_test_spans`]) the rules must ignore.
 //!
 //! This is a lexer-level approximation, not a parser — it understands
 //! nesting of block comments, raw strings with `#` fences, and the
@@ -191,27 +189,6 @@ pub fn brace_span(blanked: &str, at: usize) -> Option<(usize, usize)> {
     None
 }
 
-/// Byte offset one past the matching `)` for the `(` at `open` (blanked
-/// text). Returns `None` on unbalanced input.
-pub fn paren_end(blanked: &str, open: usize) -> Option<usize> {
-    let b = blanked.as_bytes();
-    debug_assert_eq!(b[open], b'(');
-    let mut depth = 0usize;
-    for (i, &c) in b.iter().enumerate().skip(open) {
-        match c {
-            b'(' => depth += 1,
-            b')' => {
-                depth -= 1;
-                if depth == 0 {
-                    return Some(i + 1);
-                }
-            }
-            _ => {}
-        }
-    }
-    None
-}
-
 /// Blank (with spaces, preserving newlines) every byte in `spans` of
 /// `blanked`.
 pub fn blank_spans(blanked: &mut String, spans: &[(usize, usize)]) {
@@ -231,15 +208,7 @@ pub fn blank_spans(blanked: &mut String, spans: &[(usize, usize)]) {
 /// Spans of `#[cfg(test)]`-gated items (the attribute through the end
 /// of the item's brace block) in blanked text.
 pub fn cfg_test_spans(blanked: &str) -> Vec<(usize, usize)> {
-    attr_item_spans(blanked, "#[cfg(test)]")
-}
-
-/// Spans of `#[cfg(debug_assertions)]`-gated items.
-pub fn cfg_debug_spans(blanked: &str) -> Vec<(usize, usize)> {
-    attr_item_spans(blanked, "#[cfg(debug_assertions)]")
-}
-
-fn attr_item_spans(blanked: &str, attr: &str) -> Vec<(usize, usize)> {
+    let attr = "#[cfg(test)]";
     let mut spans = Vec::new();
     let mut from = 0;
     while let Some(rel) = blanked[from..].find(attr) {
@@ -253,56 +222,6 @@ fn attr_item_spans(blanked: &str, attr: &str) -> Vec<(usize, usize)> {
         }
     }
     spans
-}
-
-/// Spans of `debug_assert…!(…)` argument lists (macro name through the
-/// closing paren) in blanked text — code inside them is
-/// debug-build-only by definition.
-pub fn debug_assert_spans(blanked: &str) -> Vec<(usize, usize)> {
-    let mut spans = Vec::new();
-    let b = blanked.as_bytes();
-    let mut from = 0;
-    while let Some(rel) = blanked[from..].find("debug_assert") {
-        let start = from + rel;
-        // Must be a token start, not a suffix of another identifier.
-        if start > 0 && (b[start - 1].is_ascii_alphanumeric() || b[start - 1] == b'_') {
-            from = start + 12;
-            continue;
-        }
-        let Some(open) = (start..b.len()).find(|&i| i < b.len() && b[i] == b'(') else {
-            break;
-        };
-        match paren_end(blanked, open) {
-            Some(end) => {
-                spans.push((start, end));
-                from = end;
-            }
-            None => break,
-        }
-    }
-    spans
-}
-
-/// Find the span (start of `fn` keyword to one past the closing brace)
-/// of the named function in blanked text, or `None` if absent.
-pub fn fn_span(blanked: &str, name: &str) -> Option<(usize, usize)> {
-    let needle = format!("fn {name}");
-    let b = blanked.as_bytes();
-    let mut from = 0;
-    while let Some(rel) = blanked[from..].find(&needle) {
-        let start = from + rel;
-        let after = start + needle.len();
-        // Require a non-ident char after the name (`(`, `<`, space).
-        let ok_after = b
-            .get(after)
-            .is_none_or(|c| !(c.is_ascii_alphanumeric() || *c == b'_'));
-        if ok_after {
-            let (_, end) = brace_span(blanked, after)?;
-            return Some((start, end));
-        }
-        from = after;
-    }
-    None
 }
 
 /// 1-based line number of byte offset `at`.
@@ -372,25 +291,5 @@ mod tests {
         assert!(!blanked.contains("unwrap"));
         assert!(blanked.contains("fn live"));
         assert!(blanked.contains("fn more"));
-    }
-
-    #[test]
-    fn debug_assert_args_are_masked() {
-        let src = "debug_assert!(map.get(&k).unwrap() > 0, \"msg\"); let y = 1;";
-        let mut blanked = blank_noncode(src);
-        let spans = debug_assert_spans(&blanked);
-        blank_spans(&mut blanked, &spans);
-        assert!(!blanked.contains("unwrap"));
-        assert!(blanked.contains("let y = 1;"));
-    }
-
-    #[test]
-    fn fn_span_matches_whole_body_only() {
-        let src = "fn alpha() { one(); }\nfn alphabet() { two(); }\n";
-        let blanked = blank_noncode(src);
-        let (s, e) = fn_span(&blanked, "alpha").unwrap();
-        assert!(blanked[s..e].contains("one"));
-        assert!(!blanked[s..e].contains("two"));
-        assert!(fn_span(&blanked, "beta").is_none());
     }
 }

@@ -1,12 +1,12 @@
-//! Acceptance tests for the workspace lint pass (ISSUE 5): the real
-//! workspace is clean, and each rule demonstrably fires on a synthetic
-//! violation — so "no findings" means the rules ran, not that they
-//! rotted.
+//! Acceptance tests for the workspace lint pass (rules L2 and L5): the
+//! real workspace is clean, and each rule demonstrably fires on a
+//! synthetic violation — so "no findings" means the rules ran, not that
+//! they rotted.
 
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use pp_analyze::lint::{self, HOT_LOOP_FNS};
+use pp_analyze::lint;
 
 #[test]
 fn real_workspace_has_no_findings() {
@@ -28,9 +28,9 @@ fn real_workspace_has_no_findings() {
 
 /// Build a minimal synthetic workspace tree under a fresh temp dir.
 fn fresh_root(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("pp-analyze-lint-{}-{tag}", std::process::id()));
+    let dir = pp_testutil::scratch_dir(&format!("analyze-lint-{tag}"));
     let _ = fs::remove_dir_all(&dir);
-    fs::create_dir_all(dir.join("crates/analyze")).unwrap();
+    fs::create_dir_all(&dir).unwrap();
     dir
 }
 
@@ -40,28 +40,7 @@ fn write(root: &Path, rel: &str, content: &str) {
     fs::write(p, content).unwrap();
 }
 
-/// A sim.rs stub defining every hot-loop function, with one `.unwrap()`
-/// violation in `cycle` and one debug_assert-gated `.expect(` in
-/// `do_commit` that must NOT be reported.
-fn synthetic_sim() -> String {
-    let mut sim = String::new();
-    for name in HOT_LOOP_FNS {
-        match *name {
-            "cycle" => sim.push_str("fn cycle() {\n    let v = source();\n    v.unwrap();\n}\n"),
-            "do_commit" => {
-                sim.push_str(
-                    "fn do_commit() {\n    debug_assert!(check().expect(\"gated\"));\n}\n",
-                );
-            }
-            _ => sim.push_str(&format!("fn {name}() {{}}\n")),
-        }
-    }
-    sim
-}
-
 fn populate(root: &Path) {
-    write(root, "crates/analyze/lint.allow", "");
-    write(root, "crates/core/src/sim.rs", &synthetic_sim());
     write(
         root,
         "crates/core/src/stats.rs",
@@ -76,9 +55,7 @@ fn populate(root: &Path) {
         root,
         "crates/core/src/config.rs",
         "pub enum Flavor {\n    Mild,\n    Spicy,\n}\n\
-         pub struct SimConfig {\n    pub mode: u64,\n    pub forgotten: u64,\n    pub flavor: Flavor,\n}\n\
-         impl SimConfig {\n    pub fn to_canonical_json(&self) -> String {\n        \
-         format!(\"{{\\\"mode\\\": {}, \\\"flavor\\\": 0}}\", self.mode)\n    }\n}\n",
+         pub struct SimConfig {\n    pub mode: u64,\n    pub flavor: Flavor,\n}\n",
     );
     write(
         root,
@@ -86,8 +63,7 @@ fn populate(root: &Path) {
         "pub fn tamper(stats: &mut SimStats) {\n    stats.cycles += 1;\n}\n\
          pub fn observe(stats: &SimStats) -> bool {\n    stats.cycles == 0\n}\n\
          pub fn tamper_stall(st: &mut StallStack) {\n    st.commit_slots += 1;\n}\n\
-         pub fn observe_stall(st: &StallStack) -> bool {\n    st.commit_slots == 0\n}\n\
-         pub fn slow() {\n    let _ = std::time::Instant::now();\n}\n",
+         pub fn observe_stall(st: &StallStack) -> bool {\n    st.commit_slots == 0\n}\n",
     );
 }
 
@@ -103,14 +79,6 @@ fn each_rule_fires_on_a_synthetic_violation() {
             .collect::<Vec<_>>()
     };
 
-    let l1 = with("L1-hot-loop-panic");
-    assert_eq!(l1.len(), 1, "L1 findings: {l1:?}");
-    assert!(l1[0].message.contains("`.unwrap()` in hot-loop fn `cycle`"));
-    assert!(
-        !findings.iter().any(|f| f.message.contains("gated")),
-        "debug_assert-gated expect must be exempt: {findings:?}"
-    );
-
     let l2 = with("L2-stats-encapsulation");
     assert_eq!(l2.len(), 2, "L2 findings: {l2:?}");
     assert!(l2.iter().all(|f| f.path == "crates/telemetry/src/lib.rs"));
@@ -120,14 +88,6 @@ fn each_rule_fires_on_a_synthetic_violation() {
     assert!(l2.iter().any(|f| f
         .message
         .contains("StallStack field `commit_slots` mutated")));
-
-    let l3 = with("L3-determinism");
-    assert_eq!(l3.len(), 1, "L3 findings: {l3:?}");
-    assert!(l3[0].message.contains("Instant::now"));
-
-    let l4 = with("L4-config-canonical-json");
-    assert_eq!(l4.len(), 1, "L4 findings: {l4:?}");
-    assert!(l4[0].message.contains("`forgotten` missing"));
 
     let l5 = with("L5-policy-token-table");
     assert_eq!(l5.len(), 1, "L5 findings: {l5:?}");
@@ -139,53 +99,8 @@ fn each_rule_fires_on_a_synthetic_violation() {
     );
     assert_eq!(l5[0].path, "crates/core/src/config.rs");
 
-    assert_eq!(findings.len(), 6, "unexpected extra findings: {findings:?}");
+    assert_eq!(findings.len(), 3, "unexpected extra findings: {findings:?}");
 
-    let _ = fs::remove_dir_all(&root);
-}
-
-#[test]
-fn renamed_hot_loop_fn_is_itself_a_finding() {
-    let root = fresh_root("renamed");
-    populate(&root);
-    // Simulate a rename: drop `kill_subtree` from sim.rs.
-    let sim = synthetic_sim().replace("fn kill_subtree()", "fn kill_tree()");
-    write(&root, "crates/core/src/sim.rs", &sim);
-    let findings = lint::run(&root).expect("lint pass runs");
-    assert!(
-        findings.iter().any(
-            |f| f.rule == "L1-hot-loop-panic" && f.message.contains("`kill_subtree` not found")
-        ),
-        "missing hot-loop fn must be reported: {findings:?}"
-    );
-    let _ = fs::remove_dir_all(&root);
-}
-
-#[test]
-fn allowlist_suppresses_only_with_justification() {
-    let root = fresh_root("allow");
-    populate(&root);
-    write(
-        &root,
-        "crates/analyze/lint.allow",
-        "L1-hot-loop-panic crates/core/src/sim.rs \"v.unwrap()\" — synthetic test entry\n\
-         L2-stats-encapsulation crates/telemetry/src/lib.rs \"stats.cycles += 1\" — synthetic test entry\n\
-         L2-stats-encapsulation crates/telemetry/src/lib.rs \"st.commit_slots += 1\" — synthetic test entry\n\
-         L3-determinism crates/telemetry/src/lib.rs \"Instant::now\" — synthetic test entry\n\
-         L4-config-canonical-json crates/core/src/config.rs \"fn to_canonical_json\" — synthetic test entry\n\
-         L5-policy-token-table crates/core/src/config.rs \"pub enum Flavor\" — synthetic test entry\n",
-    );
-    let findings = lint::run(&root).expect("lint pass runs");
-    assert!(findings.is_empty(), "allowlist must suppress: {findings:?}");
-
-    // An entry without a justification is a hard error, not a silent
-    // suppression.
-    write(
-        &root,
-        "crates/analyze/lint.allow",
-        "L1-hot-loop-panic crates/core/src/sim.rs \"v.unwrap()\"\n",
-    );
-    assert!(lint::run(&root).is_err(), "justification must be mandatory");
     let _ = fs::remove_dir_all(&root);
 }
 
@@ -208,39 +123,23 @@ fn policy_impl_silences_l5() {
     let _ = fs::remove_dir_all(&root);
 }
 
+/// L1 is clippy's: `sim.rs` denies the panic family module-wide, and the
+/// fixture crate CI runs clippy on carries the same set. Every
+/// `#[expect]` in `sim.rs` raises its lint by itself, so narrowing or
+/// dropping this deny would leave clippy green; this pins it instead.
 #[test]
-fn allowlist_entries_anchor_to_live_code() {
-    // Staleness check: every entry's needle must still match a line of
-    // the file it points at, or the suppression is dead weight (and a
-    // sign the justified site changed without the allowlist keeping up).
-    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .canonicalize()
-        .unwrap();
-    let text = fs::read_to_string(root.join("crates/analyze/lint.allow")).unwrap();
-    let mut stale = Vec::new();
-    for raw in text.lines() {
-        let line = raw.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let (_rule, rest) = line.split_once(' ').expect("rule then path");
-        let (path, rest) = rest.trim_start().split_once(' ').expect("path then needle");
-        let needle = rest
-            .trim_start()
-            .strip_prefix('"')
-            .and_then(|r| r.split_once('"'))
-            .expect("quoted needle")
-            .0;
-        let hit = fs::read_to_string(root.join(path))
-            .is_ok_and(|src| src.lines().any(|l| l.contains(needle)));
-        if !hit {
-            stale.push(format!("{path}: \"{needle}\""));
-        }
+fn sim_rs_denies_the_panic_family() {
+    const DENY: &str = "#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]";
+    let manifest = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
+    for rel in ["../core/src/sim.rs", "lint-fixtures/src/lib.rs"] {
+        let src = fs::read_to_string(manifest.join(rel)).unwrap();
+        assert!(src.contains(DENY), "{rel} lost the L1 deny set:\n{DENY}");
     }
-    assert!(
-        stale.is_empty(),
-        "lint.allow entries no longer anchor to any source line:\n{}",
-        stale.join("\n")
-    );
 }

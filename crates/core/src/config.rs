@@ -509,11 +509,37 @@ impl SimConfig {
     /// into each cache entry so a cached result remains auditable.
     pub fn to_canonical_json(&self) -> String {
         use std::fmt::Write as _;
+        // Every config struct is destructured exhaustively (no `..`), so
+        // a new field anywhere in the configuration is a compile error,
+        // or an unused variable under `-D warnings`, until it is rendered
+        // here (lint rule L4: the cache fingerprint stays complete).
+        let SimConfig {
+            mode,
+            fetch_width,
+            dispatch_width,
+            commit_width,
+            window_size,
+            pipeline_depth,
+            predictor,
+            confidence,
+            fus,
+            latency,
+            fetch_policy,
+            merge,
+            resolve_at_commit,
+            max_paths,
+            ctx_positions,
+            phys_regs,
+            max_cycles,
+            dcache,
+            check_commits,
+            sanitize,
+        } = self;
         // Every policy token comes from the one `policy` table per enum
         // (`Policy::name`), so a new variant cannot reach here with an
         // ad-hoc string.
-        let pkind = self.predictor.name();
-        let predictor = match self.predictor {
+        let pkind = predictor.name();
+        let predictor = match *predictor {
             PredictorKind::Gshare { history_bits } => {
                 format!("{{\"kind\": \"{pkind}\", \"history_bits\": {history_bits}}}")
             }
@@ -538,88 +564,121 @@ impl SimConfig {
                 format!("{{\"kind\": \"{pkind}\"}}")
             }
         };
-        let jrs = |j: &pp_predictor::JrsConfig| {
+        let jrs = |&JrsConfig {
+                       counter_bits,
+                       threshold,
+                       index_bits,
+                       enhanced_index,
+                   }: &JrsConfig| {
             format!(
-                "\"counter_bits\": {}, \"threshold\": {}, \"index_bits\": {}, \
-                 \"enhanced_index\": {}",
-                j.counter_bits, j.threshold, j.index_bits, j.enhanced_index
+                "\"counter_bits\": {counter_bits}, \"threshold\": {threshold}, \
+                 \"index_bits\": {index_bits}, \"enhanced_index\": {enhanced_index}"
             )
         };
-        let ckind = self.confidence.name();
-        let confidence = match &self.confidence {
+        let ckind = confidence.name();
+        let confidence = match confidence {
             ConfidenceKind::AlwaysHigh | ConfidenceKind::Saturating | ConfidenceKind::Oracle => {
                 format!("{{\"kind\": \"{ckind}\"}}")
             }
             ConfidenceKind::Jrs(j) => format!("{{\"kind\": \"{ckind}\", {}}}", jrs(j)),
-            ConfidenceKind::AdaptiveJrs(a) => format!(
-                "{{\"kind\": \"{ckind}\", {}, \"window\": {}, \"min_pvn_percent\": {}}}",
-                jrs(&a.inner),
-                a.window,
-                a.min_pvn_percent
+            ConfidenceKind::AdaptiveJrs(AdaptiveConfig {
+                inner,
+                window,
+                min_pvn_percent,
+            }) => format!(
+                "{{\"kind\": \"{ckind}\", {}, \"window\": {window}, \
+                 \"min_pvn_percent\": {min_pvn_percent}}}",
+                jrs(inner)
             ),
-            ConfidenceKind::H2p(h) => format!(
-                "{{\"kind\": \"{ckind}\", \"table_bits\": {}, \"tag_bits\": {}, \
-                 \"num_tables\": {}, \"counter_bits\": {}, \"threshold\": {}}}",
-                h.table_bits, h.tag_bits, h.num_tables, h.counter_bits, h.threshold
-            ),
-        };
-        let merge = match &self.merge {
-            None => "null".to_string(),
-            Some(m) => format!(
-                "{{\"table_bits\": {}, \"tag_bits\": {}, \"counter_bits\": {}, \
-                 \"threshold\": {}, \"hypothesis\": \"{}\"}}",
-                m.table_bits,
-                m.tag_bits,
-                m.counter_bits,
-                m.threshold,
-                m.hypothesis.name()
+            ConfidenceKind::H2p(H2pConfig {
+                table_bits,
+                tag_bits,
+                num_tables,
+                counter_bits,
+                threshold,
+            }) => format!(
+                "{{\"kind\": \"{ckind}\", \"table_bits\": {table_bits}, \"tag_bits\": {tag_bits}, \
+                 \"num_tables\": {num_tables}, \"counter_bits\": {counter_bits}, \
+                 \"threshold\": {threshold}}}"
             ),
         };
-        let dcache = match &self.dcache {
+        let fus = {
+            let FuConfig {
+                int0,
+                int1,
+                fp_add,
+                fp_mul,
+                mem_ports,
+            } = fus;
+            format!(
+                "{{\"int0\": {int0}, \"int1\": {int1}, \"fp_add\": {fp_add}, \"fp_mul\": {fp_mul}, \
+                 \"mem_ports\": {mem_ports}}}"
+            )
+        };
+        let latency = {
+            let LatencyConfig {
+                int_alu,
+                int_mul,
+                int_div,
+                load,
+                fp_add,
+                fp_mul,
+                fp_div,
+            } = latency;
+            format!(
+                "{{\"int_alu\": {int_alu}, \"int_mul\": {int_mul}, \"int_div\": {int_div}, \
+                 \"load\": {load}, \"fp_add\": {fp_add}, \"fp_mul\": {fp_mul}, \"fp_div\": {fp_div}}}"
+            )
+        };
+        let merge = match merge {
             None => "null".to_string(),
-            Some(d) => format!(
-                "{{\"sets_log2\": {}, \"ways\": {}, \"line_log2\": {}, \"miss_latency\": {}}}",
-                d.sets_log2, d.ways, d.line_log2, d.miss_latency
+            Some(MergeConfig {
+                table_bits,
+                tag_bits,
+                counter_bits,
+                threshold,
+                hypothesis,
+            }) => format!(
+                "{{\"table_bits\": {table_bits}, \"tag_bits\": {tag_bits}, \
+                 \"counter_bits\": {counter_bits}, \"threshold\": {threshold}, \
+                 \"hypothesis\": \"{}\"}}",
+                hypothesis.name()
+            ),
+        };
+        let dcache = match dcache {
+            None => "null".to_string(),
+            Some(crate::cache::CacheConfig {
+                sets_log2,
+                ways,
+                line_log2,
+                miss_latency,
+            }) => format!(
+                "{{\"sets_log2\": {sets_log2}, \"ways\": {ways}, \"line_log2\": {line_log2}, \
+                 \"miss_latency\": {miss_latency}}}"
             ),
         };
         let mut o = String::new();
         let _ = writeln!(o, "{{");
-        let _ = writeln!(o, "  \"mode\": \"{}\",", self.mode.name());
-        let _ = writeln!(o, "  \"fetch_width\": {},", self.fetch_width);
-        let _ = writeln!(o, "  \"dispatch_width\": {},", self.dispatch_width);
-        let _ = writeln!(o, "  \"commit_width\": {},", self.commit_width);
-        let _ = writeln!(o, "  \"window_size\": {},", self.window_size);
-        let _ = writeln!(o, "  \"pipeline_depth\": {},", self.pipeline_depth);
+        let _ = writeln!(o, "  \"mode\": \"{}\",", mode.name());
+        let _ = writeln!(o, "  \"fetch_width\": {fetch_width},");
+        let _ = writeln!(o, "  \"dispatch_width\": {dispatch_width},");
+        let _ = writeln!(o, "  \"commit_width\": {commit_width},");
+        let _ = writeln!(o, "  \"window_size\": {window_size},");
+        let _ = writeln!(o, "  \"pipeline_depth\": {pipeline_depth},");
         let _ = writeln!(o, "  \"predictor\": {predictor},");
         let _ = writeln!(o, "  \"confidence\": {confidence},");
-        let _ = writeln!(
-            o,
-            "  \"fus\": {{\"int0\": {}, \"int1\": {}, \"fp_add\": {}, \"fp_mul\": {}, \
-             \"mem_ports\": {}}},",
-            self.fus.int0, self.fus.int1, self.fus.fp_add, self.fus.fp_mul, self.fus.mem_ports
-        );
-        let _ = writeln!(
-            o,
-            "  \"latency\": {{\"int_alu\": {}, \"int_mul\": {}, \"int_div\": {}, \"load\": {}, \
-             \"fp_add\": {}, \"fp_mul\": {}, \"fp_div\": {}}},",
-            self.latency.int_alu,
-            self.latency.int_mul,
-            self.latency.int_div,
-            self.latency.load,
-            self.latency.fp_add,
-            self.latency.fp_mul,
-            self.latency.fp_div
-        );
-        let _ = writeln!(o, "  \"fetch_policy\": \"{}\",", self.fetch_policy.name());
+        let _ = writeln!(o, "  \"fus\": {fus},");
+        let _ = writeln!(o, "  \"latency\": {latency},");
+        let _ = writeln!(o, "  \"fetch_policy\": \"{}\",", fetch_policy.name());
         let _ = writeln!(o, "  \"merge\": {merge},");
-        let _ = writeln!(o, "  \"resolve_at_commit\": {},", self.resolve_at_commit);
-        let _ = writeln!(o, "  \"max_paths\": {},", self.max_paths);
-        let _ = writeln!(o, "  \"ctx_positions\": {},", self.ctx_positions);
-        let _ = writeln!(o, "  \"phys_regs\": {},", self.phys_regs);
-        let _ = writeln!(o, "  \"max_cycles\": {},", self.max_cycles);
+        let _ = writeln!(o, "  \"resolve_at_commit\": {resolve_at_commit},");
+        let _ = writeln!(o, "  \"max_paths\": {max_paths},");
+        let _ = writeln!(o, "  \"ctx_positions\": {ctx_positions},");
+        let _ = writeln!(o, "  \"phys_regs\": {phys_regs},");
+        let _ = writeln!(o, "  \"max_cycles\": {max_cycles},");
         let _ = writeln!(o, "  \"dcache\": {dcache},");
-        let _ = writeln!(o, "  \"check_commits\": {},", self.check_commits);
-        let _ = writeln!(o, "  \"sanitize\": {}", self.sanitize);
+        let _ = writeln!(o, "  \"check_commits\": {check_commits},");
+        let _ = writeln!(o, "  \"sanitize\": {sanitize}");
         let _ = writeln!(o, "}}");
         o
     }
@@ -1037,6 +1096,48 @@ mod tests {
             .clone()
             .with_merge(MergeConfig::paper_default().with_static_ipdom());
         assert_ne!(heur.to_canonical_json(), oracle.to_canonical_json());
+    }
+
+    /// The sweep cache fingerprints hang off these bytes: the baseline,
+    /// every policy token of every axis, and the optional sections.
+    #[test]
+    fn canonical_json_bytes_are_pinned() {
+        fn render(out: &mut String, label: &str, c: &SimConfig) {
+            out.push_str(&format!("## {label}\n{}", c.to_canonical_json()));
+        }
+        fn axis<P: crate::policy::Policy>(
+            out: &mut String,
+            set: impl Fn(SimConfig, P) -> SimConfig,
+        ) {
+            for p in P::all() {
+                let label = format!("{}={}", P::AXIS, p.name());
+                render(out, &label, &set(SimConfig::baseline(), p));
+            }
+        }
+        let base = SimConfig::baseline();
+        let mut out = String::new();
+        render(&mut out, "baseline", &base);
+        axis(&mut out, SimConfig::with_mode);
+        axis(&mut out, SimConfig::with_fetch_policy);
+        axis(&mut out, SimConfig::with_predictor);
+        axis(&mut out, SimConfig::with_confidence);
+        axis(&mut out, |c, hypothesis| {
+            c.with_merge(MergeConfig {
+                hypothesis,
+                ..MergeConfig::paper_default()
+            })
+        });
+        let l1 = crate::cache::CacheConfig::l1_8k();
+        render(&mut out, "dcache=l1_8k", &base.clone().with_dcache(l1));
+        let late = base.clone().with_commit_time_resolution();
+        render(&mut out, "resolve_at_commit", &late);
+        render(
+            &mut out,
+            "fus=uniform(2)",
+            &base.with_fus(FuConfig::uniform(2)),
+        );
+        let path = pp_testutil::golden::golden_dir().join("canonical_json.txt");
+        pp_testutil::golden::check_golden(&path, &out);
     }
 
     #[test]

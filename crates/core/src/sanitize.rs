@@ -110,6 +110,7 @@ impl Simulator {
     ///
     /// # Panics
     /// Panics listing every violation when the state is not sane.
+    #[expect(clippy::panic, reason = "the sanitizer's purpose is to stop the run")]
     pub fn assert_sane(&self) {
         let violations = self.sanitize();
         if !violations.is_empty() {

@@ -14,14 +14,16 @@ use std::time::Duration;
 ///
 /// This is the *only* way the simulator reads the host clock: every
 /// `Instant::now()` in `pp-core` lives in this module, behind
-/// [`stamp`], so the determinism lint (`pp-analyze lint`, rule L3) can
-/// statically guarantee that host time never leaks into simulation
-/// results — timestamps are taken only when self-profiling is enabled
-/// and flow only into [`HostProfile`], never into `SimStats`.
+/// [`stamp`], the one site the determinism rule (L3, clippy's
+/// `disallowed_methods` with the workspace `clippy.toml`) expects, so
+/// host time never leaks into simulation results — timestamps are taken
+/// only when self-profiling is enabled and flow only into
+/// [`HostProfile`], never into `SimStats`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Stamp(std::time::Instant);
 
 /// Read the host's monotonic clock (see [`Stamp`]).
+#[expect(clippy::disallowed_methods, reason = "the profiler's one clock read")]
 pub(crate) fn stamp() -> Stamp {
     Stamp(std::time::Instant::now())
 }

@@ -10,6 +10,21 @@
 //! Per-cycle stage order (reverse pipeline order, so results flow forward
 //! one stage per cycle): commit → writeback/branch-resolution → issue →
 //! rename/dispatch → fetch.
+//!
+//! Lint rule L1: this module holds the hot loop, so the panic family is
+//! denied across all of it (the child `sanitize` module included). Each
+//! remaining site is a documented protocol invariant and carries its own
+//! `#[expect]` with the reason. A new panic site, or an `#[expect]` whose
+//! site went away, fails `cargo clippy -- -D warnings`.
+
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 use std::time::Duration;
 
@@ -295,6 +310,23 @@ fn emit(obs: &mut Option<Box<dyn PipelineObserver>>, f: impl FnOnce() -> PipeEve
     }
 }
 
+/// The path `pid` names. The kill protocol keeps every path id the
+/// pipeline still holds live, so a miss is a simulator bug.
+#[inline]
+#[track_caller]
+#[expect(clippy::expect_used, reason = "kill protocol keeps held path ids live")]
+fn live(paths: &PathTable<PathCtx>, pid: PathId) -> &PathCtx {
+    paths.get(pid).expect("path exists")
+}
+
+/// Mutable [`live`].
+#[inline]
+#[track_caller]
+#[expect(clippy::expect_used, reason = "kill protocol keeps held path ids live")]
+fn live_mut(paths: &mut PathTable<PathCtx>, pid: PathId) -> &mut PathCtx {
+    paths.get_mut(pid).expect("path exists")
+}
+
 impl Simulator {
     /// Build a simulator for `program` under `cfg`.
     ///
@@ -313,6 +345,7 @@ impl Simulator {
             || matches!(cfg.confidence, ConfidenceKind::Oracle);
         let oracle = needs_oracle.then(|| {
             let mut emu = Emulator::new(program);
+            #[expect(clippy::expect_used, reason = "oracle runs need a halting program")]
             let (_, trace) = emu
                 .run_with_trace(ORACLE_STEP_LIMIT)
                 .expect("oracle pre-run: program must halt");
@@ -370,6 +403,7 @@ impl Simulator {
             birth: 0,
             merged_at: None,
         };
+        #[expect(clippy::expect_used, reason = "validate rejects max_paths == 0")]
         let root_id = paths.allocate(root).expect("fresh path table has room");
         let mut path_tags = TagIndex::new(cfg.ctx_positions, cfg.max_paths);
         path_tags.insert(root_id.index(), &CtxTag::root());
@@ -575,9 +609,9 @@ impl Simulator {
         }
         self.stats.cycles = self.now;
         if let Some(p) = &mut self.selfprof {
-            p.wall += run_start
-                .expect("stamped at entry when profiling")
-                .elapsed();
+            #[expect(clippy::expect_used, reason = "run_start stamped when profiling")]
+            let start = run_start.expect("stamped at entry when profiling");
+            p.wall += start.elapsed();
             p.cycles = self.now;
             p.committed = self.stats.committed_instructions;
         }
@@ -846,9 +880,11 @@ impl Simulator {
                 pc: e.pc,
                 op: e.op,
                 ctx: e.ctx,
-                dest: e
-                    .dest
-                    .map(|d| (d.logical, e.result.expect("committed dest without result"))),
+                dest: e.dest.map(|d| {
+                    #[expect(clippy::expect_used, reason = "writeback stores a result before Done")]
+                    let result = e.result.expect("committed dest without result");
+                    (d.logical, result)
+                }),
                 store: store_effect,
             };
             if let Some(c) = &mut self.checker {
@@ -879,6 +915,7 @@ impl Simulator {
 
     fn commit_branch(&mut self, pc: usize, pos: usize) {
         let b = &self.branches[pos];
+        #[expect(clippy::expect_used, reason = "resolve sets the outcome before Done")]
         let outcome = b.outcome.expect("committed branch unresolved");
         let correct = outcome == b.predicted_taken;
 
@@ -937,6 +974,7 @@ impl Simulator {
         while holding != 0 {
             let slot = holding.trailing_zeros() as usize;
             holding &= holding - 1;
+            #[expect(clippy::expect_used, reason = "holding_position lists live slots")]
             self.paths
                 .get_mut(PathId::from_index(slot))
                 .expect("indexed path is live")
@@ -1031,6 +1069,7 @@ impl Simulator {
         let Some(e) = self.window.get_live_by_seq(seq) else {
             return;
         };
+        #[expect(clippy::expect_used, reason = "only branch entries resolve")]
         let pos = usize::from(e.branch.expect("resolving non-branch"));
         let (parent_tag, born, fid) = (*e.ctx, e.born, e.fid);
         let b = &mut self.branches[pos];
@@ -1046,7 +1085,9 @@ impl Simulator {
         b.mispredicted = mispredicted;
         let (diverged, conf_low) = (b.diverged, b.conf_low);
         let wrong_dir = if diverged {
-            !b.outcome.expect("diverged branch outcome")
+            #[expect(clippy::expect_used, reason = "writeback set the outcome first")]
+            let outcome = b.outcome.expect("diverged branch outcome");
+            !outcome
         } else {
             b.is_return || b.predicted_taken
         };
@@ -1077,17 +1118,17 @@ impl Simulator {
             // kill freed only the wrong subtree's positions, never this
             // branch's own, so its record is intact.
             let b = &self.branches[pos];
+            #[expect(clippy::expect_used, reason = "fetch checkpoints undiverged branches")]
             let regmap = b
                 .checkpoint
                 .clone()
                 .expect("non-divergent branch must carry a checkpoint");
             let (tag_dir, pc, ghr) = if b.is_return {
-                (
-                    false,
-                    b.actual_target.expect("resolved return without target"),
-                    b.ghr_at_predict,
-                )
+                #[expect(clippy::expect_used, reason = "return resolution sets the target")]
+                let target = b.actual_target.expect("resolved return without target");
+                (false, target, b.ghr_at_predict)
             } else {
+                #[expect(clippy::expect_used, reason = "writeback set the outcome first")]
                 let out = b.outcome.expect("resolved branch without outcome");
                 let pc = if out { b.taken_target } else { b.fallthrough };
                 (out, pc, push_history(b.ghr_at_predict, out))
@@ -1117,6 +1158,7 @@ impl Simulator {
                 branch: fid,
                 pc: recovery.pc,
             });
+            #[expect(clippy::expect_used, reason = "kill_subtree above freed a slot")]
             let rid = self
                 .paths
                 .allocate(recovery)
@@ -1234,6 +1276,7 @@ impl Simulator {
         let Some(rec) = self.branches[pos].merge.take() else {
             return;
         };
+        #[expect(clippy::expect_used, reason = "merge records imply a predictor")]
         let mp = self.merge_pred.as_mut().expect("records imply a predictor");
         if !rec.parked {
             // Resolution beat reconvergence: the hypothesis was wrong, or
@@ -1250,6 +1293,7 @@ impl Simulator {
             .find(|(_, p)| p.merged_at == Some(pos))
             .map(|(id, _)| id);
         if let Some(id) = survivor {
+            #[expect(clippy::expect_used, reason = "found by the live-path scan above")]
             let p = self.paths.get_mut(id).expect("found above");
             p.fetching = true;
             p.merged_at = None;
@@ -1264,7 +1308,7 @@ impl Simulator {
     /// opposite-direction arm parks, so merged instructions are fetched
     /// once instead of twice. Returns `true` if the path parked.
     fn merge_check(&mut self, pid: PathId, pc: usize) -> bool {
-        let tag = self.paths.get(pid).expect("path exists").tag;
+        let tag = live(&self.paths, pid).tag;
         for pos in 0..self.branches.len() {
             let Some(rec) = &mut self.branches[pos].merge else {
                 continue;
@@ -1287,11 +1331,12 @@ impl Simulator {
                     // wrong-side resolution later would discard the
                     // record before `finish_merge` could).
                     let (bpc, mpc) = (rec.branch_pc, rec.merge_pc);
+                    #[expect(clippy::expect_used, reason = "merge records imply a predictor")]
                     self.merge_pred
                         .as_mut()
                         .expect("records imply a predictor")
                         .observe(bpc, mpc, true);
-                    let p = self.paths.get_mut(pid).expect("path exists");
+                    let p = live_mut(&mut self.paths, pid);
                     p.fetching = false;
                     p.merged_at = Some(pos);
                     self.merge_stats.parks += 1;
@@ -1418,6 +1463,7 @@ impl Simulator {
                             (v, true)
                         }
                         LoadCheck::Memory => (memory.read(addr, width), false),
+                        #[expect(clippy::unreachable, reason = "Block returned Keep above")]
                         LoadCheck::Block => unreachable!(),
                     };
                     *e.mem = Some(MemInfo {
@@ -1472,12 +1518,14 @@ impl Simulator {
                         Operand::Imm(v) => v,
                         Operand::Reg(_) => read(e.srcs[1]),
                     };
+                    #[expect(clippy::expect_used, reason = "fetch gave the branch a position")]
                     let pos = e.branch.expect("branch without a CTX position");
                     branches[usize::from(pos)].outcome = Some(cond_eval(cond, a, bval));
                 }
                 Op::Ret | Op::Jr { .. } => {
                     claim_fu_or_keep!();
                     let target = read(e.srcs[0]);
+                    #[expect(clippy::expect_used, reason = "fetch gave the jump a position")]
                     let pos = e.branch.expect("indirect jump without a CTX position");
                     branches[usize::from(pos)].actual_target = Some(target.max(0) as usize);
                 }
@@ -1552,9 +1600,11 @@ impl Simulator {
         let seq = *seq_next;
         *seq_next += 1;
 
+        #[expect(clippy::expect_used, reason = "dispatch walks live paths only")]
         let path = paths
             .get_mut(inst.path)
             .expect("live instruction's path exists");
+        #[expect(clippy::expect_used, reason = "regmaps outlive their path's insts")]
         let regmap = path
             .regmap
             .as_mut()
@@ -1570,6 +1620,7 @@ impl Simulator {
         // Rename the destination: allocate a new physical register and
         // remember the old mapping for recycling at commit.
         let dest = inst.op.dest().map(|logical| {
+            #[expect(clippy::expect_used, reason = "free_count checked before dispatch")]
             let new = regfile
                 .allocate()
                 .expect("free register checked before dispatch");
@@ -1598,11 +1649,13 @@ impl Simulator {
             let b = &mut branches[usize::from(pos)];
             if b.diverged {
                 let map = regmap.clone();
+                #[expect(clippy::expect_used, reason = "forked before marked diverged")]
                 let taken = b.taken_path.expect("diverged branch has a taken path");
-                paths
+                #[expect(clippy::expect_used, reason = "taken path lives until fork resolves")]
+                let taken_path = paths
                     .get_mut(taken)
-                    .expect("taken successor path alive while branch is alive")
-                    .regmap = Some(map);
+                    .expect("taken successor path alive while branch is alive");
+                taken_path.regmap = Some(map);
             } else {
                 b.checkpoint = Some(regmap.clone());
             }
@@ -1658,7 +1711,9 @@ impl Simulator {
         let mut order = std::mem::take(&mut self.scratch_fetch_order);
         order.clear();
         for &id in self.paths.ids_by_age() {
-            if self.paths.get(id).expect("listed path is live").fetching {
+            #[expect(clippy::expect_used, reason = "ids_by_age lists live paths only")]
+            let path = self.paths.get(id).expect("listed path is live");
+            if path.fetching {
                 order.push(id);
             }
         }
@@ -1754,6 +1809,7 @@ impl Simulator {
                     if budget == 0 || self.frontend.is_full() {
                         break;
                     }
+                    #[expect(clippy::expect_used, reason = "order lists live paths only")]
                     let depth = self
                         .paths
                         .get(pid)
@@ -1794,7 +1850,7 @@ impl Simulator {
             let Some(op) = self.program.fetch(pc) else {
                 // Running off the text section only happens on
                 // mis-speculated paths; the path idles until killed.
-                self.paths.get_mut(pid).expect("path exists").fetching = false;
+                live_mut(&mut self.paths, pid).fetching = false;
                 break;
             };
 
@@ -1820,7 +1876,7 @@ impl Simulator {
                 _ => {
                     self.push_fetched(pid, pc, op);
                     used += 1;
-                    let path = self.paths.get_mut(pid).expect("path exists");
+                    let path = live_mut(&mut self.paths, pid);
                     match op {
                         Op::Jump { target } => path.pc = target,
                         Op::Call { target } => {
@@ -1850,7 +1906,7 @@ impl Simulator {
             return None;
         }
 
-        let path = self.paths.get(pid).expect("path exists");
+        let path = live(&self.paths, pid);
         let ghr = path.ghr;
         let was_on_correct = path.on_correct;
         let oracle_idx = path.oracle_idx;
@@ -1876,11 +1932,13 @@ impl Simulator {
 
         let confidence = match self.cfg.confidence {
             ConfidenceKind::AlwaysHigh => Confidence::High,
+            #[expect(clippy::expect_used, reason = "new builds JRS when configured")]
             ConfidenceKind::Jrs(_) => self
                 .jrs
                 .as_ref()
                 .expect("jrs configured")
                 .estimate(pc, ghr, predicted),
+            #[expect(clippy::expect_used, reason = "new builds it when configured")]
             ConfidenceKind::AdaptiveJrs(_) => self
                 .adaptive
                 .as_ref()
@@ -1889,12 +1947,14 @@ impl Simulator {
             ConfidenceKind::Saturating => match &self.predictor {
                 Predictor::Gshare(g) if g.is_strong(pc, ghr) => Confidence::High,
                 Predictor::Gshare(_) => Confidence::Low,
+                #[expect(clippy::unreachable, reason = "validate pairs saturating with gshare")]
                 _ => unreachable!("validated: saturating confidence needs gshare"),
             },
             ConfidenceKind::Oracle => match correct_outcome {
                 Some(out) if out != predicted => Confidence::Low,
                 _ => Confidence::High,
             },
+            #[expect(clippy::expect_used, reason = "new builds H2p when configured")]
             ConfidenceKind::H2p(_) => self
                 .h2p
                 .as_ref()
@@ -1910,6 +1970,7 @@ impl Simulator {
         };
         let diverge = conf_low && mode_allows && !self.paths.is_full();
 
+        #[expect(clippy::expect_used, reason = "positions.is_full() returned above")]
         let pos = self.positions.allocate().expect("checked not full");
 
         let mut merge = None;
@@ -1960,12 +2021,13 @@ impl Simulator {
                 merged_at: None,
             };
             self.birth_next += 1;
+            #[expect(clippy::expect_used, reason = "diverge requires a free path slot")]
             let taken_pid = self.paths.allocate(taken).expect("checked not full");
             self.path_tags.insert(taken_pid.index(), &taken_tag);
             taken_path = Some(taken_pid);
 
             // …while this slot continues as the not-taken successor.
-            let path = self.paths.get_mut(pid).expect("path exists");
+            let path = live_mut(&mut self.paths, pid);
             path.tag = parent_tag.with_position(pos, false);
             path.pc = pc + 1;
             path.ghr = push_history(ghr, false);
@@ -1973,7 +2035,7 @@ impl Simulator {
             path.oracle_idx = oracle_idx + 1;
             self.path_tags.extend(pid.index(), pos, false);
         } else {
-            let path = self.paths.get_mut(pid).expect("path exists");
+            let path = live_mut(&mut self.paths, pid);
             path.tag = parent_tag.with_position(pos, predicted);
             path.pc = if predicted { target } else { pc + 1 };
             path.ghr = push_history(ghr, predicted);
@@ -2004,11 +2066,15 @@ impl Simulator {
         };
         let branch_fid = self.push_fetched_with_tag(pid, pc, op, Some(pos as u8), parent_tag);
         if diverge {
-            emit(&mut self.observer, || PipeEvent::Diverged {
-                cycle: self.now,
-                branch: branch_fid,
-                taken_path: taken_path.expect("divergence created a taken path"),
-                not_taken_path: pid,
+            emit(&mut self.observer, || {
+                #[expect(clippy::expect_used, reason = "set in the block that forked it")]
+                let taken_path = taken_path.expect("divergence created a taken path");
+                PipeEvent::Diverged {
+                    cycle: self.now,
+                    branch: branch_fid,
+                    taken_path,
+                    not_taken_path: pid,
+                }
             });
         }
         Some(diverge)
@@ -2021,9 +2087,10 @@ impl Simulator {
         if self.positions.is_full() {
             return false;
         }
+        #[expect(clippy::expect_used, reason = "positions.is_full() returned above")]
         let pos = self.positions.allocate().expect("checked not full");
 
-        let path = self.paths.get(pid).expect("path exists");
+        let path = live(&self.paths, pid);
         let parent_tag = path.tag;
         let ghr = path.ghr;
         let was_on_correct = path.on_correct;
@@ -2036,6 +2103,7 @@ impl Simulator {
                 (pred, popped)
             }
             Op::Jr { .. } => (self.btb.predict(pc), path.ras.clone()),
+            #[expect(clippy::unreachable, reason = "caller matched Ret/Jr before calling")]
             _ => unreachable!("fetch_indirect on a non-indirect op"),
         };
         let predicted_target = pred.unwrap_or(usize::MAX);
@@ -2061,7 +2129,7 @@ impl Simulator {
             mispredicted: false,
         };
 
-        let path = self.paths.get_mut(pid).expect("path exists");
+        let path = live_mut(&mut self.paths, pid);
         path.tag = parent_tag.with_position(pos, true);
         path.ras = new_ras;
         path.pc = predicted_target;
@@ -2072,7 +2140,7 @@ impl Simulator {
     }
 
     fn push_fetched(&mut self, pid: PathId, pc: usize, op: Op) {
-        let tag = self.paths.get(pid).expect("path exists").tag;
+        let tag = live(&self.paths, pid).tag;
         self.push_fetched_with_tag(pid, pc, op, None, tag);
     }
 

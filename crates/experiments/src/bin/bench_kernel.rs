@@ -111,10 +111,12 @@ fn run_one(
     let mut stats = None;
     for _ in 0..repeat {
         let run_cfg = cfg.clone();
+        #[expect(clippy::disallowed_methods, reason = "wall time is what it measures")]
         let start = std::time::Instant::now();
         let mut sim = Simulator::new(&program, run_cfg);
         let built = start.elapsed();
         new_min = new_min.min(built);
+        #[expect(clippy::disallowed_methods, reason = "wall time is what it measures")]
         let start = std::time::Instant::now();
         let s = sim.run();
         let elapsed = start.elapsed();
@@ -161,6 +163,7 @@ fn main() {
     let mut repeat = 1usize;
     let mut validate: Option<String> = None;
     let mut fetch_policy: Option<pp_core::FetchPolicy> = None;
+    #[expect(clippy::disallowed_methods, reason = "CLI parsing its own argv")]
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
@@ -241,6 +244,7 @@ fn main() {
 
     // Wall-clock capture time, so the trajectory orders and dates its
     // entries (host clock; never a simulation input).
+    #[expect(clippy::disallowed_methods, reason = "dates the trajectory entry")]
     let timestamp = std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
         .map_or(0, |d| d.as_secs());

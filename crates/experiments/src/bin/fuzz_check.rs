@@ -73,6 +73,7 @@ fn main() {
     let mut count: u64 = 1000;
     let mut seed: u64 = 0;
     let mut selftest_path: Option<String> = None;
+    #[expect(clippy::disallowed_methods, reason = "CLI parsing its own argv")]
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {

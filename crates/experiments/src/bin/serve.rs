@@ -55,6 +55,7 @@ fn parse() -> (Opts, Vec<String>) {
         cfg: ServeConfig::default(),
     };
     let mut names = Vec::new();
+    #[expect(clippy::disallowed_methods, reason = "CLI parsing its own argv")]
     let mut it = std::env::args().skip(1);
     let value =
         |flag: &str, inline: Option<String>, it: &mut dyn Iterator<Item = String>| match inline

@@ -27,6 +27,7 @@ const USAGE: &str = "usage: work --addr HOST:PORT [--client NAME]";
 fn main() {
     let mut addr: Option<String> = None;
     let mut cfg = WorkerConfig::default();
+    #[expect(clippy::disallowed_methods, reason = "CLI parsing its own argv")]
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
         let (flag, inline) = match a.split_once('=') {

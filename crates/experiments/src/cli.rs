@@ -222,6 +222,7 @@ impl SweepOpts {
     }
 
     /// Parse from the process arguments (skipping `argv[0]`).
+    #[expect(clippy::disallowed_methods, reason = "CLI parsing its own argv")]
     pub fn from_env() -> (Self, Vec<String>) {
         Self::parse(std::env::args().skip(1))
     }

@@ -201,7 +201,7 @@ mod tests {
     #[test]
     fn telemetered_run_writes_artifacts() {
         std::env::set_var("PP_SCALE", "0.01");
-        let dir = std::env::temp_dir().join(format!("pp-telemetry-test-{}", std::process::id()));
+        let dir = pp_testutil::scratch_dir("telemetry-test");
         let opts = TelemetryOpts {
             out_dir: Some(dir.clone()),
             sample_every: 8,
@@ -223,8 +223,7 @@ mod tests {
         // An out-dir nested *under a regular file* cannot be created on
         // any platform (and regardless of privilege — root ignores
         // permission bits, so a read-only directory wouldn't do).
-        let blocker =
-            std::env::temp_dir().join(format!("pp-telemetry-blocker-{}", std::process::id()));
+        let blocker = pp_testutil::scratch_dir("telemetry-blocker");
         std::fs::write(&blocker, b"not a directory").expect("create blocker file");
         let opts = TelemetryOpts {
             out_dir: Some(blocker.join("sub")),

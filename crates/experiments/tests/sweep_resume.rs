@@ -23,8 +23,7 @@ struct Dirs {
 
 impl Dirs {
     fn new(name: &str) -> Self {
-        let root =
-            std::env::temp_dir().join(format!("pp-sweep-resume-{}-{name}", std::process::id()));
+        let root = pp_testutil::scratch_dir(&format!("sweep-resume-{name}"));
         let _ = std::fs::remove_dir_all(&root);
         std::fs::create_dir_all(&root).unwrap();
         Dirs { root }

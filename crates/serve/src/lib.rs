@@ -39,6 +39,10 @@
 //!
 //! Protocol specification: DESIGN.md §3h.
 
+// Exempt from the determinism rule (L3): leases, reaping and timeouts
+// run on host time; cells are content-addressed, so results never see it.
+#![allow(clippy::disallowed_methods, reason = "exempt: leases run on host time")]
+
 pub mod daemon;
 pub mod runtime;
 mod session;

@@ -880,11 +880,7 @@ mod tests {
 
     #[test]
     fn store_prepopulates_and_is_rechecked_on_lease() {
-        let root = std::env::temp_dir().join(format!(
-            "pp-serve-rt-store-{}-{}",
-            std::process::id(),
-            line!()
-        ));
+        let root = pp_testutil::scratch_dir("serve-rt-store");
         std::fs::remove_dir_all(&root).ok();
         let cells = grid(2);
         let stats = SimStats::default();

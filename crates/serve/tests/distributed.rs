@@ -38,7 +38,7 @@ fn tiny_grid() -> Vec<SweepCell> {
 }
 
 fn tmp_root(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("pp-serve-e2e-{}-{name}", std::process::id()));
+    let dir = pp_testutil::scratch_dir(&format!("serve-e2e-{name}"));
     let _ = std::fs::remove_dir_all(&dir);
     dir
 }

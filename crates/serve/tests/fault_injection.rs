@@ -220,6 +220,7 @@ fn disconnect_mid_result_requeues_exactly_once() {
 }
 
 #[test]
+#[expect(clippy::disallowed_methods, reason = "deadline for the reaper wait")]
 fn lease_expiry_requeues_and_the_late_result_is_redundant() {
     // Cells cheap enough that an honest worker's simulation always
     // finishes well inside the lease timeout — only the deliberately

@@ -320,7 +320,7 @@ mod tests {
     }
 
     fn tmp_cache(name: &str) -> PathBuf {
-        std::env::temp_dir().join(format!("pp-sweep-engine-{}-{name}", std::process::id()))
+        pp_testutil::scratch_dir(&format!("sweep-engine-{name}"))
     }
 
     #[test]

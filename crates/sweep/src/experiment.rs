@@ -175,7 +175,7 @@ mod tests {
 
     #[test]
     fn artifacts_write_under_out_dir() {
-        let dir = std::env::temp_dir().join(format!("pp-sweep-artifacts-{}", std::process::id()));
+        let dir = pp_testutil::scratch_dir("sweep-artifacts");
         std::fs::remove_dir_all(&dir).ok();
         let r = Rendered::text("hi").with_artifact("x.csv", "1,2\n");
         let written = r.write_artifacts(&dir).unwrap();

@@ -183,7 +183,7 @@ mod tests {
     use pp_workloads::Workload;
 
     fn tmp_root(name: &str) -> PathBuf {
-        std::env::temp_dir().join(format!("pp-sweep-store-{}-{name}", std::process::id()))
+        pp_testutil::scratch_dir(&format!("sweep-store-{name}"))
     }
 
     fn cell() -> SweepCell {

@@ -18,6 +18,7 @@ pub const UPDATE_ENV: &str = "PP_UPDATE_GOLDEN";
 
 /// `true` when `PP_UPDATE_GOLDEN=1` — snapshots are rewritten, not
 /// compared.
+#[expect(clippy::disallowed_methods, reason = "golden regeneration switch")]
 pub fn update_mode() -> bool {
     matches!(std::env::var(UPDATE_ENV).as_deref(), Ok("1"))
 }
@@ -104,7 +105,7 @@ mod tests {
     use super::*;
 
     fn tmp(name: &str) -> PathBuf {
-        std::env::temp_dir().join(format!("pp-golden-{}-{name}", std::process::id()))
+        crate::scratch_dir(&format!("golden-{name}"))
     }
 
     #[test]

@@ -21,6 +21,13 @@
 
 pub mod golden;
 
+/// A per-process scratch directory for tests: `temp_dir()/pp-<tag>-<pid>`.
+/// Not created; callers clear or create it as they need.
+#[expect(clippy::disallowed_methods, reason = "test scratch space only")]
+pub fn scratch_dir(tag: &str) -> std::path::PathBuf {
+    std::env::temp_dir().join(format!("pp-{tag}-{}", std::process::id()))
+}
+
 /// Deterministic 64-bit RNG (splitmix64 seeding + xorshift64* stream).
 ///
 /// Not cryptographic; statistically plenty for test-case generation and
