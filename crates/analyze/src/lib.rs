@@ -24,7 +24,7 @@
 //!    host time or environment reads) and L4 (canonical JSON covers
 //!    every config field); see DESIGN.md §3f.
 //!
-//! 3. **Static program analysis** ([`cfg`], [`dom`], [`reconv`], see
+//! 3. **Static program analysis** ([`cfg`](mod@cfg), [`dom`], [`reconv`], see
 //!    DESIGN.md §3j): basic-block CFG recovery from a
 //!    [`pp_isa::Program`] (direct branches/jumps, call/return
 //!    summarized through a static call graph, fallthrough), dominator

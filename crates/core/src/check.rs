@@ -234,11 +234,6 @@ impl DiffOracle {
         self.failure.as_ref()
     }
 
-    /// Consume the oracle, returning the recorded failure if any.
-    pub fn into_failure(self) -> Option<CheckFailure> {
-        self.failure
-    }
-
     fn fail(&mut self, failure: CheckFailure) {
         if self.panic_on_failure {
             panic!("co-simulation: {failure}");

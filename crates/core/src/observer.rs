@@ -229,11 +229,6 @@ impl TraceLog {
     pub fn events(&self) -> &[PipeEvent] {
         &self.events
     }
-
-    /// Events concerning one instruction, in order.
-    pub fn for_fid(&self, fid: FetchId) -> Vec<&PipeEvent> {
-        self.events.iter().filter(|e| e.fid() == fid).collect()
-    }
 }
 
 impl PipelineObserver for TraceLog {
@@ -516,7 +511,6 @@ mod tests {
             });
         }
         assert_eq!(log.events().len(), 5);
-        assert_eq!(log.for_fid(FetchId(2)).len(), 1);
     }
 
     #[test]

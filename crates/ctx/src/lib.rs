@@ -24,11 +24,6 @@
 //! * [`TagIndex`] — a reverse index from `(position, direction)` pairs to
 //!   path slots, turning descendant sweeps and the wrong-path kill set into
 //!   single-word mask operations,
-//! * [`PosDirMaskSet`] — the same reverse mapping over arbitrarily many
-//!   slots (multi-word masks), with the lazy-tag staleness test folded in
-//!   by a scrub-at-insert / invalidate-on-free discipline (a library
-//!   utility: the per-instruction rings proved cheaper with live-mask
-//!   pruned kill scans — see the window module docs),
 //! * [`ResolutionKill`] — the kill selector broadcast when a branch
 //!   resolves, with the free-epoch staleness filter that lets the
 //!   instruction window keep its tags lazily (no per-commit rewrite).
@@ -49,13 +44,11 @@
 mod allocator;
 mod index;
 mod kill;
-mod masks;
 mod table;
 mod tag;
 
 pub use allocator::PositionAllocator;
 pub use index::TagIndex;
 pub use kill::ResolutionKill;
-pub use masks::PosDirMaskSet;
 pub use table::{PathId, PathTable};
 pub use tag::{CtxTag, MAX_POSITIONS};

@@ -137,11 +137,6 @@ impl<T> PathTable<T> {
             .filter_map(|(i, s)| s.as_mut().map(|t| (PathId(i as u32), t)))
     }
 
-    /// Ids of live paths, in slot order (allocation-friendly snapshot).
-    pub fn live_ids(&self) -> Vec<PathId> {
-        self.iter().map(|(id, _)| id).collect()
-    }
-
     /// Ids of live paths, oldest allocation first.
     pub fn ids_by_age(&self) -> &[PathId] {
         &self.order
@@ -202,7 +197,6 @@ mod tests {
         t.allocate("c").unwrap(); // reuses slot 0
         let names: Vec<&str> = t.iter().map(|(_, s)| *s).collect();
         assert_eq!(names, vec!["c", "b"]);
-        assert_eq!(t.live_ids().len(), 2);
         let _ = b;
     }
 

@@ -14,11 +14,10 @@
 //! JSON report to the `--out` file's `"trajectory"` array: per-run KIPS
 //! plus the per-pipeline-phase host-time breakdown, and an aggregate
 //! over the whole set. Earlier captures are preserved, so the file *is*
-//! the perf history of the kernel; a pre-trajectory single-report file
-//! is upgraded in place (the legacy report becomes the first, untimed,
-//! entry). With `--baseline`, the **latest** aggregate of a previously
-//! captured report is embedded and the speedup computed: capture once
-//! before an optimization, re-run with `--baseline` after it.
+//! the perf history of the kernel. With `--baseline`, the **latest**
+//! aggregate of a previously captured trajectory is embedded and the
+//! speedup computed: capture once before an optimization, re-run with
+//! `--baseline` after it.
 //!
 //! `--validate PATH` runs no benchmark: it parses `PATH` with the
 //! workspace's strict JSON reader ([`pp_core::json`]), checks the
@@ -337,9 +336,8 @@ const TRAJECTORY_HEADER: &str =
     "{\n  \"benchmark\": \"kernel\",\n  \"schema\": \"trajectory-v1\",\n  \"trajectory\": [\n";
 
 /// Splice `entry` (one complete report object) into the trajectory in
-/// `existing`, preserving prior entries. A pre-trajectory file — the
-/// old schema, where the report object *was* the file — is upgraded in
-/// place: the legacy report becomes the first entry.
+/// `existing`, preserving prior entries. A non-empty file that holds no
+/// trajectory is refused rather than overwritten.
 fn append_trajectory(existing: Option<String>, entry: &str) -> String {
     let entry = entry.trim_end();
     match existing {
@@ -354,21 +352,17 @@ fn append_trajectory(existing: Option<String>, entry: &str) -> String {
             )
         }
         Some(text) if !text.trim().is_empty() => {
-            format!(
-                "{TRAJECTORY_HEADER}{},\n{entry}\n  ]\n}}\n",
-                text.trim_end()
-            )
+            cli::fail("existing file holds no \"trajectory\"; refusing to overwrite it")
         }
         _ => format!("{TRAJECTORY_HEADER}{entry}\n  ]\n}}\n"),
     }
 }
 
 /// Check that `text` parses as JSON and has the shape consumers expect:
-/// either a `trajectory-v1` file (non-empty `"trajectory"` array of
-/// report objects, each with a `"runs"` array) or a legacy single
-/// report. A `new_s` set-up time, where a run or aggregate carries one
-/// (older entries do not), must be a non-negative number. Returns a
-/// one-line summary.
+/// a `trajectory-v1` file, i.e. a non-empty `"trajectory"` array of
+/// report objects, each with a `"runs"` array. A `new_s` set-up time,
+/// where a run or aggregate carries one (older entries do not), must be
+/// a non-negative number. Returns a one-line summary.
 fn validate_report(text: &str) -> Result<String, String> {
     let root = json::parse(text).map_err(|e| e.to_string())?;
     if root.as_object().is_none() {
@@ -379,37 +373,30 @@ fn validate_report(text: &str) -> Result<String, String> {
             .and_then(json::Value::as_array)
             .map(<[_]>::len)
     };
-    if let Some(traj) = root.get("trajectory") {
-        let entries = traj.as_array().ok_or("\"trajectory\" is not an array")?;
-        if entries.is_empty() {
-            return Err("\"trajectory\" is empty".into());
-        }
-        for (i, e) in entries.iter().enumerate() {
-            if e.as_object().is_none() {
-                return Err(format!("trajectory[{i}] is not an object"));
-            }
-            match runs_of(e) {
-                None => return Err(format!("trajectory[{i}] has no \"runs\" array")),
-                Some(0) => return Err(format!("trajectory[{i}] has zero runs")),
-                Some(_) => {}
-            }
-            check_new_s(e).map_err(|m| format!("trajectory[{i}]: {m}"))?;
-        }
-        Ok(format!(
-            "trajectory of {} report(s), latest with {} runs",
-            entries.len(),
-            entries.last().and_then(runs_of).unwrap_or(0),
-        ))
-    } else {
-        match runs_of(&root) {
-            None => Err("neither \"trajectory\" nor \"runs\" present".into()),
-            Some(0) => Err("legacy report has zero runs".into()),
-            Some(n) => {
-                check_new_s(&root)?;
-                Ok(format!("legacy single report with {n} runs"))
-            }
-        }
+    let entries = root
+        .get("trajectory")
+        .ok_or("no \"trajectory\" present")?
+        .as_array()
+        .ok_or("\"trajectory\" is not an array")?;
+    if entries.is_empty() {
+        return Err("\"trajectory\" is empty".into());
     }
+    for (i, e) in entries.iter().enumerate() {
+        if e.as_object().is_none() {
+            return Err(format!("trajectory[{i}] is not an object"));
+        }
+        match runs_of(e) {
+            None => return Err(format!("trajectory[{i}] has no \"runs\" array")),
+            Some(0) => return Err(format!("trajectory[{i}] has zero runs")),
+            Some(_) => {}
+        }
+        check_new_s(e).map_err(|m| format!("trajectory[{i}]: {m}"))?;
+    }
+    Ok(format!(
+        "trajectory of {} report(s), latest with {} runs",
+        entries.len(),
+        entries.last().and_then(runs_of).unwrap_or(0),
+    ))
 }
 
 /// The optional `new_s` of each run and of the aggregate in one report
@@ -428,14 +415,10 @@ fn check_new_s(report: &json::Value) -> Result<(), String> {
     Ok(())
 }
 
-/// `aggregate.kips` of the newest capture: the last trajectory entry,
-/// or the report itself in a legacy single-report file.
+/// `aggregate.kips` of the newest capture, the last trajectory entry.
 fn extract_aggregate_kips(text: &str) -> Option<f64> {
     let root = json::parse(text).ok()?;
-    let latest = match root.get("trajectory") {
-        Some(traj) => traj.as_array()?.last()?,
-        None => &root,
-    };
+    let latest = root.get("trajectory")?.as_array()?.last()?;
     latest.get("aggregate")?.get("kips")?.as_f64()
 }
 
@@ -467,14 +450,6 @@ mod tests {
     }
 
     #[test]
-    fn legacy_single_report_is_upgraded_in_place() {
-        assert!(validate_report(ENTRY).unwrap().contains("legacy"));
-        let upgraded = append_trajectory(Some(ENTRY.to_string()), ENTRY);
-        let summary = validate_report(&upgraded).unwrap();
-        assert!(summary.contains("2 report(s)"), "{summary}");
-    }
-
-    #[test]
     fn entries_with_set_up_time_validate() {
         let timed = ENTRY
             .replace(
@@ -489,7 +464,6 @@ mod tests {
         // A v1 entry without `new_s` followed by one with it.
         let text = append_trajectory(Some(append_trajectory(None, ENTRY)), &timed);
         assert!(validate_report(&text).unwrap().contains("2 report(s)"));
-        assert!(validate_report(&timed).unwrap().contains("legacy"));
 
         for bad in ["\"fast\"", "-0.5", "null"] {
             let broken = timed.replace("0.000042", bad);
@@ -524,6 +498,9 @@ mod tests {
         assert!(validate_report(&text[..text.len() - 4]).is_err());
         assert!(validate_report("{\"trajectory\": []}").is_err());
         assert!(validate_report("{\"benchmark\": \"kernel\"}").is_err());
+        // A bare report outside a trajectory is not a trajectory-v1 file.
+        assert!(validate_report(ENTRY).is_err());
+        assert_eq!(extract_aggregate_kips(ENTRY), None);
         assert!(validate_report("[1, 2").is_err());
     }
 
@@ -564,8 +541,8 @@ mod tests {
     }
 
     /// `timestamp_unix_s` of each trajectory entry, in file order.
-    /// `None` for the untimed legacy entry a pre-trajectory file
-    /// upgrades into.
+    /// `None` for an entry without one (the committed file's first
+    /// entry predates the field).
     fn trajectory_timestamps(text: &str) -> Vec<Option<f64>> {
         let root = json::parse(text).unwrap();
         root.get("trajectory")

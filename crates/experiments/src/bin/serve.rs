@@ -16,8 +16,8 @@
 //! equality covering every cell fingerprint).
 //!
 //! Flags: `--addr HOST:PORT` (default `127.0.0.1:0`, port printed on
-//! startup), `--cache-dir DIR`, `--no-cache`, `--max-clients N`,
-//! `--quota N` (leases per client), `--max-inflight N`,
+//! startup), `--cache-dir DIR`, `--no-cache`, `--max-clients N`
+//! (connected workers; each holds at most one lease),
 //! `--lease-timeout-ms MS`, `--linger` (keep serving `done` to late
 //! workers until killed), `--telemetry-out DIR` (export the `serve.*`
 //! registry as JSONL on exit).
@@ -35,8 +35,7 @@ use pp_serve::{ServeConfig, Server};
 use pp_sweep::{ResultStore, SweepCell, DEFAULT_CACHE_DIR};
 
 const USAGE: &str = "usage: serve <name...|all> [--addr HOST:PORT] [--cache-dir DIR] [--no-cache] \
-[--max-clients N] [--quota N] [--max-inflight N] [--lease-timeout-ms MS] [--linger] \
-[--telemetry-out DIR]";
+[--max-clients N] [--lease-timeout-ms MS] [--linger] [--telemetry-out DIR]";
 
 struct Opts {
     addr: String,
@@ -78,14 +77,6 @@ fn parse() -> (Opts, Vec<String>) {
             "--max-clients" => {
                 let v = value("--max-clients", inline, &mut it);
                 opts.cfg.max_clients = parse_value("--max-clients", &v, "a client count");
-            }
-            "--quota" => {
-                let v = value("--quota", inline, &mut it);
-                opts.cfg.quota_per_client = parse_value("--quota", &v, "a lease count");
-            }
-            "--max-inflight" => {
-                let v = value("--max-inflight", inline, &mut it);
-                opts.cfg.max_inflight = parse_value("--max-inflight", &v, "a lease count");
             }
             "--lease-timeout-ms" => {
                 let v = value("--lease-timeout-ms", inline, &mut it);

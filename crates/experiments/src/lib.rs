@@ -1,6 +1,6 @@
 //! # pp-experiments — the paper's evaluation, regenerated
 //!
-//! One [`suite::Experiment`] per table/figure of the evaluation section
+//! One [`pp_sweep::Experiment`] per table/figure of the evaluation section
 //! of *Selective Eager Execution on the PolyPath Architecture* (ISCA
 //! 1998), plus the shared machinery: the six named machine
 //! configurations of Fig. 8, the `pp-sweep`-backed experiment registry

@@ -167,3 +167,12 @@ fn workload_profile_rejects_unknown_workload() {
     assert!(stderr.contains("unknown workload `pascal`"), "{stderr}");
     assert!(stderr.contains("compress"), "{stderr}");
 }
+
+#[test]
+fn serve_rejects_the_removed_lease_cap_flags() {
+    for flag in [["--quota", "2"], ["--max-inflight", "4"]] {
+        let args = ["table1", flag[0], flag[1]];
+        let out = run(env!("CARGO_BIN_EXE_serve"), &args);
+        assert_usage_error(&out, &["unknown argument", flag[0]]);
+    }
+}

@@ -124,11 +124,6 @@ impl Emulator {
         &self.memory
     }
 
-    /// Mutable access to memory (for test setup).
-    pub fn memory_mut(&mut self) -> &mut Memory {
-        &mut self.memory
-    }
-
     fn operand(&self, o: Operand) -> i64 {
         match o {
             Operand::Reg(r) => self.reg(r),

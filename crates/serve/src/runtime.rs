@@ -6,7 +6,7 @@
 //! and the daemon's reaper calls [`Runtime::expire`] on a timer. Every
 //! method that touches a deadline takes an explicit `now: Instant`, so
 //! the whole lease state machine — expiry, requeue-exactly-once,
-//! attempt budgets, quota release — is unit-tested without a socket or
+//! attempt budgets, lease release — is unit-tested without a socket or
 //! a sleep.
 //!
 //! ## Lease state machine
@@ -28,13 +28,14 @@
 //!
 //! ## Backpressure
 //!
-//! Admission and leasing never queue: past `max_clients` connected
-//! sessions, `quota_per_client` leases held by one client, or
-//! `max_inflight` leases total, the caller gets a typed
-//! [`LeaseOutcome::Busy`]/[`AdmitOutcome::Busy`] with a suggested
-//! back-off, and the client retries. Bounded state, no fairness
-//! inversion, and a slow client can never starve the grid: its leases
-//! expire and requeue.
+//! Admission and leasing never queue. Past `max_clients` connected
+//! sessions the caller gets a typed [`AdmitOutcome::Busy`] with a
+//! suggested back-off, and the client retries. A client holds at most
+//! one lease: the worker loop leases, simulates, reports and waits for
+//! `ack` before it leases again, so a second `lease` while one is held
+//! gets [`LeaseOutcome::Busy`]. Outstanding leases are therefore bounded
+//! by `max_clients`, and a slow client can never starve the grid: its
+//! lease expires and requeues.
 
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
@@ -51,10 +52,6 @@ use crate::wire::WorkStatus;
 pub struct ServeConfig {
     /// Connected-session cap; further `hello`s get `busy reason=clients`.
     pub max_clients: usize,
-    /// Leases one client may hold at once (`busy reason=quota` beyond).
-    pub quota_per_client: usize,
-    /// Total outstanding leases (`busy reason=inflight` beyond).
-    pub max_inflight: usize,
     /// How long a lease lives without a frame from its holder before
     /// the cell is requeued.
     pub lease_timeout: Duration,
@@ -81,8 +78,6 @@ impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
             max_clients: 8,
-            quota_per_client: 2,
-            max_inflight: 16,
             lease_timeout: Duration::from_secs(120),
             retry_ms: 250,
             max_attempts: 2,
@@ -132,10 +127,8 @@ pub enum LeaseOutcome {
         /// Suggested back-off, milliseconds.
         retry_ms: u64,
     },
-    /// Over a quota or the inflight cap.
+    /// The client already holds a lease.
     Busy {
-        /// `"quota"` or `"inflight"`.
-        reason: &'static str,
         /// Suggested back-off, milliseconds.
         retry_ms: u64,
     },
@@ -190,9 +183,8 @@ struct CellSlot {
 
 struct ClientSlot {
     token: u64,
-    name: String,
-    leases: Vec<usize>,
-    gauge: GaugeId,
+    /// The one cell this client holds, if any.
+    lease: Option<usize>,
 }
 
 /// The server's entire mutable state: grid, lease table, client table,
@@ -328,8 +320,9 @@ impl Runtime {
         self.registry.inc(self.ids.faults, 1);
     }
 
-    /// Admit a client, or refuse with a typed busy.
-    pub fn admit(&mut self, name: &str) -> AdmitOutcome {
+    /// Admit a client, or refuse with a typed busy. `_name` is the
+    /// client's `hello` name; the runtime keeps no copy of it.
+    pub fn admit(&mut self, _name: &str) -> AdmitOutcome {
         let Some(slot) = self.clients.iter().position(Option::is_none) else {
             self.registry.inc(self.ids.rejected, 1);
             return AdmitOutcome::Busy {
@@ -338,49 +331,37 @@ impl Runtime {
         };
         let token = self.next_token;
         self.next_token += 1;
-        let gauge = self.registry.gauge(client_gauge_name(slot));
-        self.clients[slot] = Some(ClientSlot {
-            token,
-            name: name.to_string(),
-            leases: Vec::new(),
-            gauge,
-        });
+        self.clients[slot] = Some(ClientSlot { token, lease: None });
         self.registry.inc(self.ids.admitted, 1);
-        self.registry.set(gauge, 0.0);
         self.update_gauges();
         AdmitOutcome::Admitted(ClientId { slot, token })
     }
 
-    /// Release a client's slot, requeueing any leases it still holds
-    /// (the worker-death path: one requeue per held cell).
+    /// Release a client's slot, requeueing the lease it still holds
+    /// (the worker-death path).
     pub fn depart(&mut self, id: ClientId) {
         let Some(client) = self.client_mut(id) else {
             return;
         };
-        let leases = std::mem::take(&mut client.leases);
-        let gauge = client.gauge;
+        let lease = client.lease;
         self.clients[id.slot] = None;
-        self.registry.set(gauge, 0.0);
-        for index in leases {
+        if let Some(index) = lease {
             self.requeue(index);
         }
         self.update_gauges();
     }
 
-    /// Extend the deadlines of `id`'s leases — called on any frame from
+    /// Extend the deadline of `id`'s lease — called on any frame from
     /// the client, so an alive-but-slow worker (or one streaming
     /// `progress` keepalives) is not expired mid-simulation.
     pub fn touch(&mut self, id: ClientId, now: Instant) {
         let timeout = self.cfg.lease_timeout;
-        let Some(client) = self.client_mut(id) else {
+        let Some(index) = self.client_mut(id).and_then(|c| c.lease) else {
             return;
         };
-        let leases = client.leases.clone();
-        for index in leases {
-            if let CellState::Leased { holder, deadline } = &mut self.cells[index].state {
-                if *holder == id {
-                    *deadline = now + timeout;
-                }
+        if let CellState::Leased { holder, deadline } = &mut self.cells[index].state {
+            if *holder == id {
+                *deadline = now + timeout;
             }
         }
     }
@@ -388,24 +369,13 @@ impl Runtime {
     /// Hand out the next pending cell, or report why not.
     pub fn lease(&mut self, id: ClientId, now: Instant) -> LeaseOutcome {
         let retry_ms = self.cfg.retry_ms;
-        let quota = self.cfg.quota_per_client;
-        let max_inflight = self.cfg.max_inflight;
         let timeout = self.cfg.lease_timeout;
         let Some(client) = self.client_mut(id) else {
             // Stale handle (departed): nothing to lease.
             return LeaseOutcome::Done;
         };
-        if client.leases.len() >= quota {
-            return LeaseOutcome::Busy {
-                reason: "quota",
-                retry_ms,
-            };
-        }
-        if self.inflight() >= max_inflight {
-            return LeaseOutcome::Busy {
-                reason: "inflight",
-                retry_ms,
-            };
+        if client.lease.is_some() {
+            return LeaseOutcome::Busy { retry_ms };
         }
         while let Some(index) = self.queue.pop_front() {
             if self.cells[index].state != CellState::Pending {
@@ -430,11 +400,7 @@ impl Runtime {
             slot.attempts += 1;
             let fingerprint = slot.fingerprint.clone();
             let label = slot.cell.label();
-            let client = self.client_mut(id).expect("validated above");
-            client.leases.push(index);
-            let gauge = client.gauge;
-            let held = client.leases.len();
-            self.registry.set(gauge, held as f64);
+            self.client_mut(id).expect("validated above").lease = Some(index);
             self.update_gauges();
             return LeaseOutcome::Leased {
                 index,
@@ -568,22 +534,6 @@ impl Runtime {
         self.registry
     }
 
-    /// Registered client names currently connected, for logs.
-    pub fn client_names(&self) -> Vec<String> {
-        self.clients
-            .iter()
-            .flatten()
-            .map(|c| c.name.clone())
-            .collect()
-    }
-
-    fn inflight(&self) -> usize {
-        self.cells
-            .iter()
-            .filter(|s| matches!(s.state, CellState::Leased { .. }))
-            .count()
-    }
-
     fn client_mut(&mut self, id: ClientId) -> Option<&mut ClientSlot> {
         self.clients
             .get_mut(id.slot)?
@@ -591,16 +541,14 @@ impl Runtime {
             .filter(|c| c.token == id.token)
     }
 
-    /// Drop `index` from `id`'s lease list (if present) and update its
-    /// gauge. The cell's own state is the caller's business.
+    /// Clear `id`'s lease if it is `index`. The cell's own state is the
+    /// caller's business.
     fn release_lease(&mut self, id: ClientId, index: usize) {
-        let Some(client) = self.client_mut(id) else {
-            return;
-        };
-        client.leases.retain(|&i| i != index);
-        let gauge = client.gauge;
-        let held = client.leases.len();
-        self.registry.set(gauge, held as f64);
+        if let Some(client) = self.client_mut(id) {
+            if client.lease == Some(index) {
+                client.lease = None;
+            }
+        }
     }
 
     /// Return a leased/reported cell to the queue, or fail it when its
@@ -623,29 +571,15 @@ impl Runtime {
 
     fn update_gauges(&mut self) {
         let connected = self.clients.iter().flatten().count();
-        let inflight = self.inflight();
+        let inflight = self
+            .cells
+            .iter()
+            .filter(|s| matches!(s.state, CellState::Leased { .. }))
+            .count();
         self.registry
             .set(self.ids.clients_connected, connected as f64);
         self.registry.set(self.ids.leases_inflight, inflight as f64);
     }
-}
-
-/// Static gauge names per client slot. The registry requires `&'static
-/// str`; slots are bounded by `max_clients`, names are interned once
-/// per distinct slot index for the process lifetime, and reused across
-/// every client that occupies the slot — so the leak is bounded and
-/// one-time, not per-connection.
-fn client_gauge_name(slot: usize) -> &'static str {
-    use std::sync::{Mutex, OnceLock};
-    static NAMES: OnceLock<Mutex<Vec<&'static str>>> = OnceLock::new();
-    let names = NAMES.get_or_init(|| Mutex::new(Vec::new()));
-    let mut names = names.lock().expect("gauge name lock");
-    while names.len() <= slot {
-        let name: &'static str =
-            Box::leak(format!("serve.client{}.leases", names.len()).into_boxed_str());
-        names.push(name);
-    }
-    names[slot]
 }
 
 #[cfg(test)]
@@ -668,8 +602,6 @@ mod tests {
     fn cfg() -> ServeConfig {
         ServeConfig {
             max_clients: 2,
-            quota_per_client: 1,
-            max_inflight: 2,
             lease_timeout: Duration::from_millis(100),
             retry_ms: 10,
             max_attempts: 2,
@@ -713,38 +645,27 @@ mod tests {
     }
 
     #[test]
-    fn quota_and_inflight_caps_return_typed_busy() {
-        let mut rt = Runtime::new(
-            grid(8),
-            None,
-            ServeConfig {
-                quota_per_client: 1,
-                max_inflight: 1,
-                ..cfg()
-            },
-        );
+    fn a_client_holds_one_lease_at_a_time() {
+        let mut rt = rt(8);
         let now = Instant::now();
         let a = admit(&mut rt, "a");
         let b = admit(&mut rt, "b");
-        lease_index(&mut rt, a, now);
-        assert_eq!(
-            rt.lease(a, now),
-            LeaseOutcome::Busy {
-                reason: "quota",
-                retry_ms: 10
-            }
-        );
-        assert_eq!(
-            rt.lease(b, now),
-            LeaseOutcome::Busy {
-                reason: "inflight",
-                retry_ms: 10
-            }
-        );
+        let (i, fp) = lease_index(&mut rt, a, now);
+        assert_eq!(rt.lease(a, now), LeaseOutcome::Busy { retry_ms: 10 });
+        // Another client leases alongside a: both hold one cell at once.
+        let (j, _) = lease_index(&mut rt, b, now);
+        assert_ne!(i, j);
+        assert_eq!(rt.snapshot().leased, 2);
+        assert_eq!(rt.lease(b, now), LeaseOutcome::Busy { retry_ms: 10 });
+        // Completing its cell frees a to lease again.
+        rt.complete(a, i, &fp, WorkStatus::Ok, &SimStats::default().to_json())
+            .unwrap();
+        let (k, _) = lease_index(&mut rt, a, now);
+        assert!(k != i && k != j);
     }
 
     #[test]
-    fn ok_result_completes_and_releases_quota() {
+    fn ok_result_completes_and_releases_the_lease() {
         let mut rt = rt(2);
         let now = Instant::now();
         let a = admit(&mut rt, "a");
@@ -758,7 +679,7 @@ mod tests {
             .complete(a, i, &fp, WorkStatus::Ok, &stats.to_json())
             .unwrap();
         assert!(!redundant);
-        // Quota released: the same client leases the next cell.
+        // Lease released: the same client leases the next cell.
         let (j, _) = lease_index(&mut rt, a, now);
         assert_ne!(i, j);
         assert_eq!(rt.snapshot().complete, 1);
@@ -919,8 +840,8 @@ mod tests {
         assert_eq!(get("serve.clients_admitted"), 1);
         let gauges: Vec<_> = reg.gauges().collect();
         assert!(
-            gauges.iter().any(|(n, _)| *n == "serve.client0.leases"),
-            "per-client gauge registered: {gauges:?}"
+            gauges.contains(&("serve.leases_inflight", 0.0)),
+            "no lease outstanding after depart: {gauges:?}"
         );
     }
 

@@ -8,7 +8,7 @@
 //! path: orderly `bye`, protocol fault, socket error, EOF mid-frame,
 //! write timeout, or daemon shutdown. That single invariant is what
 //! the fault-injection suite pins: however a client dies, its work
-//! goes back in the queue and its quota is released.
+//! goes back in the queue and its lease is released.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -172,8 +172,8 @@ pub(crate) fn serve_connection(stream: TcpStream, shared: &Shared) {
                     deadline_ms,
                 },
                 LeaseOutcome::Wait { retry_ms } => Reply::Wait { retry_ms },
-                LeaseOutcome::Busy { reason, retry_ms } => Reply::Busy {
-                    reason: reason.to_string(),
+                LeaseOutcome::Busy { retry_ms } => Reply::Busy {
+                    reason: "quota".to_string(),
                     retry_ms,
                 },
                 LeaseOutcome::Done => Reply::Done,

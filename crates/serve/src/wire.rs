@@ -130,7 +130,8 @@ pub enum Reply {
     },
     /// Admission or lease refused; retry after `retry_ms`.
     Busy {
-        /// Which limit refused: `clients`, `inflight`, or `quota`.
+        /// Which limit refused: `clients` (every session slot is taken)
+        /// or `quota` (the client already holds a lease).
         reason: String,
         /// Suggested client back-off in milliseconds.
         retry_ms: u64,

@@ -63,13 +63,6 @@ impl SweepEngine {
         self
     }
 
-    /// Disable the result cache (neither read nor written).
-    #[must_use]
-    pub fn without_cache(mut self) -> Self {
-        self.cache = None;
-        self
-    }
-
     /// Stream per-cell progress lines (with ETA and KIPS) to stderr.
     #[must_use]
     pub fn with_progress(mut self, progress: bool) -> Self {

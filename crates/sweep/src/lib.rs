@@ -6,18 +6,18 @@
 //! the bare thread fan-out never had:
 //!
 //! * **Resumability.** Every cell — `(workload, seed, scale, SimConfig)`
-//!   — is fingerprinted ([`fingerprint`]) and its completed [`SimStats`]
-//!   persisted to a content-addressed on-disk store ([`store`], default
-//!   `results/cache/`). Re-runs and resumed runs skip finished cells and
+//!   — is fingerprinted ([`SweepCell::fingerprint`]) and its completed
+//!   [`SimStats`] persisted to a content-addressed on-disk store
+//!   ([`ResultStore`], default `results/cache/`). Re-runs and resumed runs skip finished cells and
 //!   hand back *byte-identical* merged output, because
 //!   [`pp_core::SimStats::from_json`] is the exact inverse of `to_json`.
-//! * **Fault isolation.** A work-stealing scheduler ([`scheduler`])
+//! * **Fault isolation.** A work-stealing scheduler ([`SweepEngine::run`])
 //!   catches per-cell panics, retries once, and records a typed
 //!   [`CellError`] naming the (workload, config) pair — the rest of the
 //!   grid keeps running instead of dying with the failing cell.
 //! * **Observability.** Progress (cells done / cached / failed, ETA,
 //!   per-cell KIPS) streams through a [`pp_telemetry::Registry`] and an
-//!   optional stderr progress line ([`engine`]).
+//!   optional stderr progress line ([`SweepEngine::with_progress`]).
 //!
 //! On top of the engine sits the [`Experiment`] trait: a named grid plus
 //! a pure render step, which is how the `pp-experiments` binaries expose

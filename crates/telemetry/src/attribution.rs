@@ -127,14 +127,6 @@ impl BranchTable {
         v.sort_unstable_by_key(|(pc, _)| *pc);
         v
     }
-
-    /// The `n` sites with the most divergences, most-divergent first.
-    pub fn hottest_diverging(&self, n: usize) -> Vec<(usize, PcStats)> {
-        let mut v = self.sorted();
-        v.sort_by_key(|(_, s)| std::cmp::Reverse(s.forked));
-        v.truncate(n);
-        v
-    }
 }
 
 /// One path slot generation: a CTX-table slot from (re)allocation until
@@ -202,11 +194,6 @@ impl PathTable {
         if let Some(e) = self.open.get_mut(&slot) {
             e.killed += 1;
         }
-    }
-
-    /// Note an instruction killed that was fetched on `path`.
-    pub fn record_kill(&mut self, path: PathId, cycle: u64) {
-        self.record_kill_slot(path.index() as u32, cycle);
     }
 
     /// Close the open generation on `path` (slot reallocated or run
@@ -309,7 +296,6 @@ mod tests {
         assert_eq!(t.get(200).unwrap().high_incorrect, 1);
         assert_eq!(t.total_diverged(), 2);
         assert_eq!(t.len(), 2);
-        assert_eq!(t.hottest_diverging(1)[0].0, 100);
     }
 
     #[test]
@@ -318,7 +304,7 @@ mod tests {
         let mut t = PathTable::new();
         t.record_fetch(p[0], 10);
         t.record_fetch(p[0], 14);
-        t.record_kill(p[0], 20);
+        t.record_kill_slot(p[0].index() as u32, 20);
         t.close(p[0]);
         assert_eq!(t.generations(), 1);
         assert_eq!(t.lifetime.count(), 1);

@@ -453,7 +453,7 @@ mod tests {
     fn chrome_trace_is_wellformed() {
         let mut t = ChromeTrace::new();
         t.span("add @12".into(), "exec", 0, 3, 6, vec![("fid", "9".into())]);
-        t.instant("kill".into(), "kill", 2, 8);
+        t.instant(|| "kill".into(), "kill", 2, 8);
         let mut buf = Vec::new();
         assert_eq!(write_chrome_trace(&mut buf, &t).unwrap(), 2);
         let text = String::from_utf8(buf).unwrap();

@@ -245,10 +245,10 @@ impl PipelineObserver for TelemetryObserver {
                 self.paths.close(taken_path);
                 self.paths.touch(taken_path, cycle);
                 if let Some(b) = self.inflight.get(&branch.0) {
-                    let (tid, pc, op) = (b.path, b.pc, op_name(b));
+                    let (tid, pc) = (b.path, b.pc);
                     self.branches.record_divergence(pc);
-                    self.trace
-                        .instant(format!("diverge {op} @{pc}"), "diverge", tid, cycle);
+                    let name = || format!("diverge {} @{pc}", op_name(b));
+                    self.trace.instant(name, "diverge", tid, cycle);
                 }
             }
             PipeEvent::Dispatched { .. }
@@ -263,17 +263,13 @@ impl PipelineObserver for TelemetryObserver {
             } => {
                 self.registry.inc(self.c_resolved, 1);
                 if let Some(i) = self.inflight.get(&fid.0) {
-                    let (pc, tid, op) = (i.pc, i.path, op_name(i));
+                    let (pc, tid) = (i.pc, i.path);
                     self.branches
                         .record_resolution(pc, mispredicted, diverged, conf_low);
                     if mispredicted {
                         self.registry.inc(self.c_mispredicted, 1);
-                        self.trace.instant(
-                            format!("mispredict {op} @{pc}"),
-                            "mispredict",
-                            tid,
-                            cycle,
-                        );
+                        let name = || format!("mispredict {} @{pc}", op_name(i));
+                        self.trace.instant(name, "mispredict", tid, cycle);
                     }
                 }
             }
@@ -281,7 +277,7 @@ impl PipelineObserver for TelemetryObserver {
                 self.registry.inc(self.c_redirects, 1);
                 let tid = self.inflight.get(&branch.0).map_or(0, |i| i.path);
                 self.trace
-                    .instant(format!("redirect → @{pc}"), "redirect", tid, cycle);
+                    .instant(|| format!("redirect → @{pc}"), "redirect", tid, cycle);
             }
             PipeEvent::Killed { cycle, fid, stage } => {
                 self.registry.inc(self.c_killed, 1);

@@ -40,7 +40,8 @@ pub struct TraceEvent {
 }
 
 /// Accumulates [`TraceEvent`]s with a hard cap so a long run cannot
-/// balloon the artifact; drops (and counts) events past the cap.
+/// balloon the artifact; counts events past the cap without building
+/// them.
 #[derive(Debug)]
 pub struct ChromeTrace {
     events: Vec<TraceEvent>,
@@ -73,11 +74,17 @@ impl ChromeTrace {
         }
     }
 
-    fn push(&mut self, ev: TraceEvent) {
-        if self.events.len() < self.max_events {
-            self.events.push(ev);
-        } else {
+    fn is_full(&self) -> bool {
+        self.events.len() >= self.max_events
+    }
+
+    /// Keep the event `make` builds, or count it dropped without
+    /// building it once the cap is reached.
+    fn push(&mut self, make: impl FnOnce() -> TraceEvent) {
+        if self.is_full() {
             self.dropped += 1;
+        } else {
+            self.events.push(make());
         }
     }
 
@@ -91,7 +98,7 @@ impl ChromeTrace {
         end: u64,
         args: Vec<(&'static str, String)>,
     ) {
-        self.push(TraceEvent {
+        self.push(|| TraceEvent {
             ph: 'X',
             name,
             cat,
@@ -102,11 +109,18 @@ impl ChromeTrace {
         });
     }
 
-    /// An instant ("i") event at `cycle` on `tid`.
-    pub fn instant(&mut self, name: String, cat: &'static str, tid: u32, cycle: u64) {
-        self.push(TraceEvent {
+    /// An instant ("i") event at `cycle` on `tid`; `name` runs only when
+    /// the event is kept.
+    pub fn instant(
+        &mut self,
+        name: impl FnOnce() -> String,
+        cat: &'static str,
+        tid: u32,
+        cycle: u64,
+    ) {
+        self.push(|| TraceEvent {
             ph: 'i',
-            name,
+            name: name(),
             cat,
             ts: cycle,
             dur: 0,
@@ -120,33 +134,35 @@ impl ChromeTrace {
     /// it lasts a cycle or more), named `{stage} {op} @{pc}` and carrying
     /// an `outcome` arg (plus `ctx` when the span has a CTX tag), and a
     /// `kill` instant for a killed instruction. A span still in flight
-    /// ends at `end_of_run`.
+    /// ends at `end_of_run`. Past the cap the events are counted, not
+    /// formatted.
     pub fn lifecycle(&mut self, s: &InstSpan, end_of_run: u64) {
+        let end = s.retired().unwrap_or(end_of_run);
+        let stop = |t: Option<u64>| t.unwrap_or(end);
+        let stages = [
+            Some(("fetch", s.fetched, stop(s.dispatched))),
+            s.dispatched.map(|d| ("window", d, stop(s.issued))),
+            s.issued.map(|i| ("exec", i, stop(s.completed))),
+            s.completed
+                .filter(|&c| end > c)
+                .map(|c| ("retire-wait", c, end)),
+        ];
+        let stages = stages.into_iter().flatten();
+        if self.is_full() {
+            self.dropped += stages.count() as u64 + u64::from(s.killed.is_some());
+            return;
+        }
         let op = op_name(s);
         let name = |stage: &str| format!("{stage} {op} @{}", s.pc);
         let mut args = vec![("outcome", format!("\"{}\"", s.outcome()))];
         if let Some(c) = s.ctx {
             args.push(("ctx", format!("\"{}\"", c.annotate())));
         }
-        let end = s.retired().unwrap_or(end_of_run);
-        let mut stage = |stage: &'static str, start: u64, stop: Option<u64>| {
-            let stop = stop.unwrap_or(end);
+        for (stage, start, stop) in stages {
             self.span(name(stage), stage, s.path, start, stop, args.clone());
-        };
-        stage("fetch", s.fetched, s.dispatched);
-        if let Some(d) = s.dispatched {
-            stage("window", d, s.issued);
-        }
-        if let Some(i) = s.issued {
-            stage("exec", i, s.completed);
-        }
-        if let Some(c) = s.completed {
-            if end > c {
-                stage("retire-wait", c, None);
-            }
         }
         if let Some(k) = s.killed {
-            self.instant(name("kill"), "kill", s.path, k);
+            self.instant(|| name("kill"), "kill", s.path, k);
         }
     }
 
@@ -198,7 +214,11 @@ mod tests {
     fn cap_drops_and_counts() {
         let mut t = ChromeTrace::with_capacity(2);
         for i in 0..5 {
-            t.instant(format!("e{i}"), "kill", 0, i);
+            let name = move || {
+                assert!(i < 2, "event {i} named past the cap");
+                format!("e{i}")
+            };
+            t.instant(name, "kill", 0, i);
         }
         assert_eq!(t.events().len(), 2);
         assert_eq!(t.dropped(), 3);
@@ -207,9 +227,9 @@ mod tests {
     #[test]
     fn tids_are_sorted_and_deduped() {
         let mut t = ChromeTrace::new();
-        t.instant("a".into(), "kill", 3, 0);
-        t.instant("b".into(), "kill", 1, 0);
-        t.instant("c".into(), "kill", 3, 0);
+        t.instant(|| "a".into(), "kill", 3, 0);
+        t.instant(|| "b".into(), "kill", 1, 0);
+        t.instant(|| "c".into(), "kill", 3, 0);
         assert_eq!(t.tids(), vec![1, 3]);
     }
 }

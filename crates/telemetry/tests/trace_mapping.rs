@@ -23,12 +23,15 @@ fn config(max_cycles: Option<u64>) -> SimConfig {
     cfg
 }
 
-fn pipeview_run(cfg: SimConfig, max_events: usize) -> ChromeTrace {
+fn pipeview(cfg: SimConfig) -> PipeView {
     let mut sim = Simulator::new(&program(), cfg);
     sim.set_observer(Box::new(PipeView::new()));
     sim.run();
-    let view = PipeView::from_box(sim.take_observer().expect("attached")).expect("downcasts");
-    ChromeTrace::from_pipeview(&view, max_events)
+    PipeView::from_box(sim.take_observer().expect("attached")).expect("downcasts")
+}
+
+fn pipeview_run(cfg: SimConfig, max_events: usize) -> ChromeTrace {
+    ChromeTrace::from_pipeview(&pipeview(cfg), max_events)
 }
 
 /// `(name, cat, tid, ts, dur)` of every complete event, sorted.
@@ -49,6 +52,20 @@ fn pipeview_chrome_trace_renders() {
     assert!(!t.events().is_empty());
     assert_eq!(t.dropped(), 0);
     assert!(t.events().iter().all(|e| e.ph != 'X' || e.dur >= 1));
+}
+
+#[test]
+fn a_capped_trace_keeps_the_first_events_and_counts_the_rest() {
+    let view = pipeview(config(None));
+    let full = ChromeTrace::from_pipeview(&view, MAX_EVENTS);
+    assert_eq!(full.dropped(), 0);
+    let all = full.events();
+    // Caps that cut the first lifecycles part-way, and two mid-trace.
+    for cap in [0, 1, 2, 3, 4, 5, all.len() / 2, all.len() - 1] {
+        let capped = ChromeTrace::from_pipeview(&view, cap);
+        assert_eq!(capped.events(), &all[..cap], "cap {cap}");
+        assert_eq!(capped.dropped(), (all.len() - cap) as u64, "cap {cap}");
+    }
 }
 
 #[test]

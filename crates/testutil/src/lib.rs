@@ -78,11 +78,6 @@ impl Rng {
         range.start + self.below((range.end - range.start) as u64) as usize
     }
 
-    /// Uniform `i64` over the full domain.
-    pub fn any_i64(&mut self) -> i64 {
-        self.next_u64() as i64
-    }
-
     /// Uniform `u8` over the full domain.
     pub fn any_u8(&mut self) -> u8 {
         self.next_u64() as u8
