@@ -46,7 +46,6 @@
 //! applies the same two checkers to the golden 8×3 workload matrix.
 
 use std::fmt::Write as _;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use pp_core::{ConfidenceKind, ExecMode, PredictorKind, SimConfig, Simulator};
 use pp_func::Emulator;
@@ -404,37 +403,29 @@ pub fn check_program(program: &Program) -> Result<(), CheckReport> {
         });
     }
     for name in FUZZ_CONFIGS {
-        let cfg = fuzz_config(name);
         // The recorder is byte-invisible to the stats (pinned by the
         // golden invisibility tests), so the checked run is still the
         // same machine — but a failure report now ends with the last
         // N cycles of history instead of just the panic line.
-        let mut sim = Simulator::new(program, cfg);
-        sim.enable_flight_recorder(pp_core::DEFAULT_FLIGHT_DEPTH);
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            let stats = sim.run();
-            sim.finish_commit_check();
-            stats
-        }));
-        match outcome {
-            Ok(stats) => {
+        pp_core::run_with_flight_dump(
+            || Simulator::new(program, fuzz_config(name)),
+            |sim| {
+                let stats = sim.run();
+                sim.finish_commit_check();
                 if stats.hit_cycle_limit {
-                    return Err(CheckReport {
-                        config: name,
-                        report: format!(
-                            "pipeline hit the cycle limit on a halting program\n{}",
-                            sim.flight_dump()
-                        ),
-                    });
+                    return Err(format!(
+                        "pipeline hit the cycle limit on a halting program\n{}",
+                        sim.flight_dump()
+                    ));
                 }
-            }
-            Err(payload) => {
-                return Err(CheckReport {
-                    config: name,
-                    report: format!("{}\n{}", panic_message(payload), sim.flight_dump()),
-                })
-            }
-        }
+                Ok(())
+            },
+        )
+        .and_then(std::convert::identity)
+        .map_err(|report| CheckReport {
+            config: name,
+            report,
+        })?;
     }
     Ok(())
 }
@@ -442,16 +433,6 @@ pub fn check_program(program: &Program) -> Result<(), CheckReport> {
 /// Build and check a plan (the shrinking predicate's core).
 pub fn check_ops(ops: &[GenOp]) -> Result<(), CheckReport> {
     check_program(&build(ops))
-}
-
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else {
-        "non-string panic payload".to_string()
-    }
 }
 
 /// Disassembly listing of the program a plan assembles to — the "minimal

@@ -141,6 +141,48 @@ impl FlightRecorder {
     }
 }
 
+/// The text a panic was raised with: the `panic!`/`assert!` message when
+/// the payload is a string, else a placeholder.
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "<non-string panic payload>".to_string()
+    }
+}
+
+/// Build a simulator, arm its flight recorder at
+/// [`DEFAULT_FLIGHT_DEPTH`] and run `body` on it, all under one
+/// `catch_unwind`. A panic anywhere — a configuration `build` rejects, a
+/// sanitizer violation, a commit-check divergence — comes back as
+/// `Err(panic text)`, followed by a newline and
+/// [`Simulator::flight_dump`](crate::Simulator::flight_dump) when the
+/// simulator had been built. This is the one path by which the sweep
+/// engine, the served worker and the checking harnesses turn a failing
+/// run into a report.
+pub fn run_with_flight_dump<T>(
+    build: impl FnOnce() -> crate::Simulator,
+    body: impl FnOnce(&mut crate::Simulator) -> T,
+) -> Result<T, String> {
+    let mut sim = None;
+    // AssertUnwindSafe: after a panic the simulator is only read by
+    // `flight_dump`, which renders the recorder ring and the counters.
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        let sim = sim.insert(build());
+        sim.enable_flight_recorder(DEFAULT_FLIGHT_DEPTH);
+        body(sim)
+    }))
+    .map_err(|payload| {
+        let msg = panic_message(payload.as_ref());
+        match &sim {
+            Some(sim) => format!("{msg}\n{}", sim.flight_dump()),
+            None => msg,
+        }
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -212,5 +254,56 @@ mod tests {
         assert!(dump.contains("cycle        3"), "{dump}");
         assert!(dump.contains("cycle        4"), "{dump}");
         assert!(!dump.contains("cycle        2"), "{dump}");
+    }
+
+    fn countdown() -> pp_isa::Program {
+        use pp_isa::{reg, Asm};
+        let mut a = Asm::new();
+        a.li(reg::T0, 50);
+        let top = a.here();
+        a.addi(reg::T0, reg::T0, -1);
+        a.bne(reg::T0, reg::ZERO, top);
+        a.halt();
+        a.assemble().expect("assembles")
+    }
+
+    #[test]
+    fn run_with_flight_dump_reports_each_failure_once() {
+        let p = countdown();
+        let ok = run_with_flight_dump(
+            || crate::Simulator::new(&p, crate::SimConfig::baseline()),
+            crate::Simulator::run,
+        );
+        assert!(!ok.expect("a valid run completes").hit_cycle_limit);
+
+        // A panic inside the run carries its text and the recorder's dump.
+        let err = run_with_flight_dump(
+            || crate::Simulator::new(&p, crate::SimConfig::baseline()),
+            |sim| {
+                sim.run();
+                panic!("boom at cycle {}", sim.stats().cycles)
+            },
+        )
+        .expect_err("the body panicked");
+        let (msg, dump) = err.split_once('\n').expect("message, then dump");
+        assert!(msg.starts_with("boom at cycle "), "{err}");
+        assert!(dump.starts_with("flight recorder: "), "{err}");
+        assert!(dump.contains("in-flight cycle"), "{err}");
+
+        // A configuration the simulator rejects fails before any dump exists.
+        let err = run_with_flight_dump(
+            || crate::Simulator::new(&p, crate::SimConfig::baseline().with_pipeline_depth(2)),
+            crate::Simulator::run,
+        )
+        .expect_err("validate rejects depth 2");
+        let expected = crate::ConfigError::PipelineDepthOutOfRange { depth: 2 }.to_string();
+        assert_eq!(err, expected);
+    }
+
+    #[test]
+    fn panic_message_reads_string_payloads() {
+        assert_eq!(panic_message(&"static"), "static");
+        assert_eq!(panic_message(&String::from("owned")), "owned");
+        assert_eq!(panic_message(&7u32), "<non-string panic payload>");
     }
 }

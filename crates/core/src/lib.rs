@@ -119,7 +119,7 @@ pub use pp_predictor::{H2pConfig, MergeConfig, MergeHypothesis};
 /// version. Pure-performance changes that leave goldens byte-identical
 /// must NOT bump it (cache reuse across such commits is the point).
 pub const BEHAVIOR_REV: u32 = 1;
-pub use flight::{FlightRecorder, DEFAULT_FLIGHT_DEPTH};
+pub use flight::{panic_message, run_with_flight_dump, FlightRecorder, DEFAULT_FLIGHT_DEPTH};
 pub use frontend::{FetchedInst, FrontEnd, PathCtx};
 pub use fus::{eligible_units, is_unpipelined, latency, FuClass, FuPool};
 pub use observer::{

@@ -49,12 +49,6 @@
 //! information and are skipped rather than allowed to win the min; a
 //! pair with no valid sample reports `null` for `wall_s`/`kips`.
 //!
-//! `--fetch-policy TOKEN` overrides the fetch-arbitration policy for
-//! every benchmarked configuration, taking the canonical tokens from
-//! the [`pp_core::Policy`] table (e.g. `variable_rate`); the token in
-//! force is recorded in the entry so captures are only compared
-//! like-for-like.
-//!
 //! Honours `PP_SCALE` like every other binary; the scale in use is
 //! recorded in the report so baselines are only compared at like scale.
 
@@ -88,16 +82,8 @@ struct RunReport {
     phases: Vec<(&'static str, f64)>,
 }
 
-fn run_one(
-    w: Workload,
-    c: Config,
-    repeat: usize,
-    fetch_policy: Option<pp_core::FetchPolicy>,
-) -> RunReport {
-    let mut cfg = named_config(c, BASELINE_HISTORY_BITS);
-    if let Some(fp) = fetch_policy {
-        cfg = cfg.with_fetch_policy(fp);
-    }
+fn run_one(w: Workload, c: Config, repeat: usize) -> RunReport {
+    let cfg = named_config(c, BASELINE_HISTORY_BITS);
     let program = w.build(scaled(w));
 
     // Timing runs: nothing attached, wall clock measured from outside,
@@ -161,7 +147,6 @@ fn main() {
     let mut baseline: Option<String> = None;
     let mut repeat = 1usize;
     let mut validate: Option<String> = None;
-    let mut fetch_policy: Option<pp_core::FetchPolicy> = None;
     #[expect(clippy::disallowed_methods, reason = "CLI parsing its own argv")]
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
@@ -175,13 +160,8 @@ fn main() {
                 }
             }
             "--validate" => validate = Some(cli::require_value(&mut args, "--validate", "a path")),
-            "--fetch-policy" => {
-                let raw = cli::require_value(&mut args, "--fetch-policy", "a policy token");
-                fetch_policy = Some(cli::parse_policy("--fetch-policy", &raw));
-            }
             other => cli::usage_error(format_args!(
-                "unknown argument {other:?} (expected --out, --baseline, --repeat, \
-                 --fetch-policy, or --validate)"
+                "unknown argument {other:?} (expected --out, --baseline, --repeat, or --validate)"
             )),
         }
     }
@@ -205,7 +185,7 @@ fn main() {
     let mut total_new = 0.0f64;
     for w in Workload::ALL {
         for c in BENCH_CONFIGS {
-            let r = run_one(w, c, repeat, fetch_policy);
+            let r = run_one(w, c, repeat);
             total_new += r.new_s;
             match (r.kips, r.wall_s) {
                 (Some(kips), Some(wall_s)) => {
@@ -258,13 +238,6 @@ fn main() {
     );
     let _ = writeln!(j, "  \"scale_factor\": {},", scale_factor());
     let _ = writeln!(j, "  \"timing_runs_min_of\": {repeat},");
-    // The canonical token when overridden, JSON null when each config
-    // keeps its own default — so like-for-like comparison is checkable.
-    let fp_token = fetch_policy.map_or("null".to_string(), |fp| {
-        use pp_core::Policy as _;
-        format!("\"{}\"", fp.name())
-    });
-    let _ = writeln!(j, "  \"fetch_policy_override\": {fp_token},");
     let _ = writeln!(j, "  \"history_bits\": {BASELINE_HISTORY_BITS},");
     let _ = writeln!(j, "  \"runs\": [");
     for (i, r) in runs.iter().enumerate() {

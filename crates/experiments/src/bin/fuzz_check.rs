@@ -27,7 +27,7 @@
 //! CI uses this to pin the dump-on-failure path end to end.
 
 use pp_check::{fuzz, listing, FUZZ_CONFIGS};
-use pp_core::{SimConfig, Simulator, DEFAULT_FLIGHT_DEPTH};
+use pp_core::{SimConfig, Simulator};
 use pp_experiments::cli;
 use pp_isa::{reg, Asm};
 
@@ -45,28 +45,18 @@ fn dump_selftest() -> String {
 
     let mut cfg = SimConfig::baseline().with_commit_checking();
     cfg.max_cycles = 400;
-    let mut sim = Simulator::new(&program, cfg);
-    sim.enable_flight_recorder(DEFAULT_FLIGHT_DEPTH);
-    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        let stats = sim.run();
-        sim.finish_commit_check();
-        stats
-    }));
-    let msg = match outcome {
-        Ok(stats) => {
-            assert!(
-                stats.hit_cycle_limit,
-                "selftest loop must starve the cycle limit"
-            );
-            "pipeline hit the cycle limit on a non-halting selftest program".to_string()
-        }
-        Err(payload) => payload
-            .downcast_ref::<String>()
-            .cloned()
-            .or_else(|| payload.downcast_ref::<&str>().map(|s| (*s).to_string()))
-            .unwrap_or_else(|| "non-string panic payload".to_string()),
-    };
-    format!("[selftest] {msg}\n{}", sim.flight_dump())
+    // A checker that lets the truncated run pass leaves no dump, which
+    // fails the selftest.
+    let report = pp_core::run_with_flight_dump(
+        || Simulator::new(&program, cfg),
+        |sim| {
+            sim.run();
+            sim.finish_commit_check();
+        },
+    )
+    .err()
+    .unwrap_or_else(|| "the commit checker passed a non-halting run".to_string());
+    format!("[selftest] {report}")
 }
 
 fn main() {

@@ -3,12 +3,12 @@
 //! ```sh
 //! sweep list
 //! sweep run fig9 [fig10 ...]      # one or more experiments by name
-//! sweep run all [--resume]        # the complete evaluation
+//! sweep run all                   # the complete evaluation
 //! ```
 //!
 //! Shared flags (all subcommands): `--workers N`, `--out-dir DIR`
 //! (default `results`), `--cache-dir DIR` (default `results/cache`),
-//! `--no-cache`, `--resume`, `--max-cells N`, `--quiet`,
+//! `--no-cache`, `--max-cells N`, `--quiet`,
 //! `--telemetry-out DIR`, `--telemetry-sample-every N`. Honours
 //! `PP_SCALE`.
 //!

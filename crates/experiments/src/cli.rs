@@ -67,24 +67,6 @@ where
     parse_value(flag, &raw, what)
 }
 
-/// Parse `raw` as a canonical policy token (see [`pp_core::Policy`]).
-/// The error message lists every valid token for the axis, so a typo'd
-/// `--fetch-policy` answers itself.
-pub fn try_parse_policy<P: pp_core::Policy>(flag: &str, raw: &str) -> Result<P, String> {
-    P::from_name(raw).ok_or_else(|| {
-        format!(
-            "{flag}: {raw:?} is not a {} (one of: {})",
-            P::AXIS,
-            P::tokens().join(", ")
-        )
-    })
-}
-
-/// [`try_parse_policy`], exiting with a usage error on failure.
-pub fn parse_policy<P: pp_core::Policy>(flag: &str, raw: &str) -> P {
-    try_parse_policy(flag, raw).unwrap_or_else(|m| usage_error(m))
-}
-
 // ---------------------------------------------------------------------
 // Unified sweep flags
 // ---------------------------------------------------------------------
@@ -96,8 +78,6 @@ pub fn parse_policy<P: pp_core::Policy>(flag: &str, raw: &str) -> P {
 ///   `workload_profile`, `results` for `sweep`)
 /// * `--cache-dir DIR` — result cache root (default `results/cache`)
 /// * `--no-cache` — disable the result cache entirely
-/// * `--resume` — explicit alias for the default cache-on behavior,
-///   for scripts that want to state the intent
 /// * `--max-cells N` — simulate at most N cells, skip the rest
 ///   (cache hits are free; this is the deterministic "interrupt")
 /// * `--quiet` — suppress per-cell progress lines
@@ -184,10 +164,6 @@ impl SweepOpts {
                     )?));
                 }
                 "--no-cache" => opts.cache_dir = None,
-                "--resume" => {
-                    // Resuming is the default (the cache is on); the flag
-                    // exists so invocations can state the intent.
-                }
                 "--max-cells" => {
                     let v = value("--max-cells", inline, &mut it, "a cell count")?;
                     opts.max_cells = Some(try_parse_value("--max-cells", &v, "a cell count")?);
@@ -253,26 +229,6 @@ mod tests {
         assert!(try_parse_value::<u64>("--count", "-1", "a count").is_err());
     }
 
-    #[test]
-    fn try_parse_policy_round_trips_canonical_tokens() {
-        use pp_core::{FetchPolicy, Policy};
-        for p in FetchPolicy::all() {
-            let parsed: FetchPolicy = try_parse_policy("--fetch-policy", p.name()).unwrap();
-            assert_eq!(parsed.name(), p.name());
-        }
-    }
-
-    #[test]
-    fn try_parse_policy_error_lists_the_tokens() {
-        use pp_core::FetchPolicy;
-        let err = try_parse_policy::<FetchPolicy>("--fetch-policy", "fastest").unwrap_err();
-        assert!(err.contains("--fetch-policy"), "{err}");
-        assert!(err.contains("\"fastest\""), "{err}");
-        assert!(err.contains("fetch policy"), "{err}");
-        assert!(err.contains("variable_rate"), "{err}");
-        assert!(err.contains("exponential_by_age"), "{err}");
-    }
-
     fn args(v: &[&str]) -> Vec<String> {
         v.iter().map(std::string::ToString::to_string).collect()
     }
@@ -313,12 +269,9 @@ mod tests {
     }
 
     #[test]
-    fn sweep_opts_no_cache_and_resume() {
+    fn sweep_opts_no_cache() {
         let (o, _) = SweepOpts::try_parse(args(&["--no-cache"])).unwrap();
         assert_eq!(o.cache_dir, None);
-        // --resume is the stated default; it must parse and change nothing.
-        let (o, _) = SweepOpts::try_parse(args(&["--resume"])).unwrap();
-        assert_eq!(o.cache_dir, Some(PathBuf::from("results/cache")));
     }
 
     #[test]

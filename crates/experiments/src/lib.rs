@@ -4,12 +4,12 @@
 //! of *Selective Eager Execution on the PolyPath Architecture* (ISCA
 //! 1998), plus the shared machinery: the six named machine
 //! configurations of Fig. 8, the `pp-sweep`-backed experiment registry
-//! (cached, work-stealing, typed per-cell failures — see DESIGN.md
+//! (cached, parallel, typed per-cell failures — see DESIGN.md
 //! §3e), harmonic means, and text-table formatting.
 //!
 //! The front door is the `sweep` binary (`sweep list`, `sweep run
 //! fig9`, `sweep run all`), which takes the unified flags (`--workers`,
-//! `--out-dir`, `--cache-dir`, `--no-cache`, `--resume`, `--max-cells`,
+//! `--out-dir`, `--cache-dir`, `--no-cache`, `--max-cells`,
 //! `--quiet`, `--telemetry-out`, `--telemetry-sample-every`).
 //!
 //! Experiments (`cargo run --release -p pp-experiments --bin sweep --

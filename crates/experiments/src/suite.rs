@@ -3,7 +3,7 @@
 //! Each experiment declares its sweep grid (workload × configuration
 //! cells) and a pure `render` step that turns completed [`CellResult`]s
 //! into stdout text and artifact files. The [`pp_sweep::SweepEngine`]
-//! runs the grids — with the result cache, work stealing, and typed
+//! runs the grids — with the result cache, parallel workers, and typed
 //! per-cell failures — so experiments that share cells (Fig. 8, §5.1,
 //! §5.2 all use the same 48-cell matrix) pay for them once.
 //!
@@ -1391,55 +1391,6 @@ impl Experiment for MultipathFrontierExp {
         }
         let _ = writeln!(out, "{t}");
 
-        // Merge telemetry rides along uncached (the counters live in
-        // `Simulator::merge_stats`, outside the golden `SimStats` bytes,
-        // so these runs cannot be served as cells).
-        let _ = writeln!(
-            out,
-            "merge telemetry ({}; uncached):",
-            labels[FRONTIER_MERGE]
-        );
-        let mut t = Table::new([
-            "benchmark",
-            "forks",
-            "pred hits",
-            "parks",
-            "resumes",
-            "unmerged",
-            "park %",
-        ]);
-        let mut telemetry_csv = String::from("benchmark,forks,pred_hits,parks,resumes,unmerged\n");
-        for &w in &Workload::ALL {
-            let program = w.build(scaled(w));
-            let mut sim = Simulator::new(&program, labeled[FRONTIER_MERGE].1.clone());
-            let stats = sim.run();
-            assert!(!stats.hit_cycle_limit, "{w} hit the cycle limit");
-            let ms = *sim.merge_stats();
-            let _ = writeln!(
-                telemetry_csv,
-                "{},{},{},{},{},{}",
-                w.name(),
-                ms.forks_tracked,
-                ms.predictor_hits,
-                ms.parks,
-                ms.resumes,
-                ms.unmerged_resolutions
-            );
-            t.row([
-                w.name().to_string(),
-                ms.forks_tracked.to_string(),
-                ms.predictor_hits.to_string(),
-                ms.parks.to_string(),
-                ms.resumes.to_string(),
-                ms.unmerged_resolutions.to_string(),
-                format!(
-                    "{:.1}",
-                    100.0 * ms.parks as f64 / ms.forks_tracked.max(1) as f64
-                ),
-            ]);
-        }
-        let _ = writeln!(out, "{t}");
-
         let mut csv = Table::new(
             std::iter::once("benchmark".to_string()).chain(labels.iter().map(|l| (*l).to_string())),
         );
@@ -1453,9 +1404,7 @@ impl Experiment for MultipathFrontierExp {
             std::iter::once("hmean".to_string()).chain(hmeans.iter().map(|v| format!("{v:.4}"))),
         );
 
-        Rendered::text(out)
-            .with_artifact("multipath_frontier.csv", csv.to_csv())
-            .with_artifact("multipath_frontier_merge.csv", telemetry_csv)
+        Rendered::text(out).with_artifact("multipath_frontier.csv", csv.to_csv())
     }
 }
 
@@ -1945,6 +1894,14 @@ mod tests {
         assert_eq!(
             labeled[FRONTIER_SEE].1.confidence.name(),
             labeled[FRONTIER_MERGE].1.confidence.name()
+        );
+        // The headline merge corner is merge_oracle's merge/heuristic
+        // machine, whose render reports that machine's merge telemetry.
+        let oracle = oracle_configs();
+        assert_eq!(oracle[1].0, "merge/heuristic");
+        assert_eq!(
+            labeled[FRONTIER_MERGE].1.to_canonical_json(),
+            oracle[1].1.to_canonical_json()
         );
     }
 

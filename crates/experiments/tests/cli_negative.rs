@@ -84,6 +84,12 @@ fn sweep_run_all_rejects_dangling_telemetry_flag() {
 }
 
 #[test]
+fn sweep_rejects_the_removed_resume_flag() {
+    let out = run(env!("CARGO_BIN_EXE_sweep"), &["run", "all", "--resume"]);
+    assert_usage_error(&out, &["unknown argument", "--resume"]);
+}
+
+#[test]
 fn sweep_run_all_rejects_bad_sample_interval() {
     let out = run(
         env!("CARGO_BIN_EXE_sweep"),

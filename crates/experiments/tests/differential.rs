@@ -16,13 +16,8 @@
 use pp_core::Simulator;
 use pp_experiments::experiments::BASELINE_HISTORY_BITS;
 use pp_experiments::{named_config, Config};
+use pp_testutil::golden::GOLDEN_SCALE;
 use pp_workloads::Workload;
-
-/// Same scale the golden snapshots use, so this suite vouches for
-/// exactly the runs the golden suite pins.
-fn golden_scale(w: Workload) -> u64 {
-    (w.default_scale() / 64).max(2000)
-}
 
 fn check_config(c: Config) {
     if cfg!(debug_assertions) {
@@ -35,7 +30,7 @@ fn check_config(c: Config) {
         .with_commit_checking()
         .with_sanitizer();
     for w in Workload::ALL {
-        let program = w.build(golden_scale(w));
+        let program = w.build(GOLDEN_SCALE);
         let mut sim = Simulator::new(&program, cfg.clone());
         let stats = sim.run();
         // The oracle/sanitizer panic on any divergence or violation, so
@@ -79,7 +74,7 @@ fn differential_see_merge() {
         .with_commit_checking()
         .with_sanitizer();
     for w in Workload::ALL {
-        let program = w.build(golden_scale(w));
+        let program = w.build(GOLDEN_SCALE);
         let mut sim = Simulator::new(&program, cfg.clone());
         let stats = sim.run();
         sim.finish_commit_check();

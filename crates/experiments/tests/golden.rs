@@ -7,7 +7,7 @@
 //! regenerate them (`PP_UPDATE_GOLDEN=1 cargo test -p pp-experiments
 //! --test golden`) and justify the diff in review.
 //!
-//! The workload scales here are fixed small constants, deliberately
+//! Every workload is built at [`GOLDEN_SCALE`], deliberately
 //! independent of `PP_SCALE`: the snapshots are committed files, so the
 //! inputs that produce them must never vary with the environment.
 //!
@@ -24,15 +24,8 @@
 use pp_core::Simulator;
 use pp_experiments::experiments::BASELINE_HISTORY_BITS;
 use pp_experiments::{named_config, Config};
-use pp_testutil::golden::{check_golden, golden_dir};
+use pp_testutil::golden::{check_golden, golden_dir, GOLDEN_SCALE};
 use pp_workloads::Workload;
-
-/// Snapshot scale for `w`: ~1/64 of the paper evaluation's dynamic
-/// instruction count, floored so even the smallest workload exercises
-/// warm predictors and a saturated window.
-fn golden_scale(w: Workload) -> u64 {
-    (w.default_scale() / 64).max(2000)
-}
 
 /// Filename-safe key for a configuration (labels contain `/`).
 fn config_key(c: Config) -> &'static str {
@@ -58,7 +51,7 @@ fn check_config(c: Config) {
     }
     let cfg = named_config(c, BASELINE_HISTORY_BITS);
     for w in Workload::ALL {
-        let program = w.build(golden_scale(w));
+        let program = w.build(GOLDEN_SCALE);
         let stats = Simulator::new(&program, cfg.clone()).run();
         assert!(!stats.hit_cycle_limit, "{w} hit the cycle limit");
         let path = golden_dir().join(format!("{}_{}.json", w.name(), config_key(c)));

@@ -105,7 +105,7 @@ fn interrupted_sweep_resumes_to_byte_identical_artifacts() {
     // Resume against the same cache: the 3 finished cells are hits, the
     // remaining 5 simulate, and the merged artifacts are byte-identical
     // to the uninterrupted control run.
-    let resumed = sweep(&dirs, "cache", "out_resumed", &["--resume"]);
+    let resumed = sweep(&dirs, "cache", "out_resumed", &[]);
     let stderr = String::from_utf8_lossy(&resumed.stderr);
     assert!(resumed.status.success(), "resume failed: {stderr}");
     assert!(

@@ -16,14 +16,8 @@ use pp_core::{PipeView, PipelineObserver, Simulator, DEFAULT_FLIGHT_DEPTH};
 use pp_experiments::experiments::BASELINE_HISTORY_BITS;
 use pp_experiments::{named_config, Config};
 use pp_telemetry::TelemetryObserver;
-use pp_testutil::golden::{check_golden, golden_dir};
+use pp_testutil::golden::{check_golden, golden_dir, GOLDEN_SCALE};
 use pp_workloads::Workload;
-
-/// Same fixed scale as `tests/golden.rs` (snapshots are committed
-/// files, so their inputs never vary with `PP_SCALE`).
-fn golden_scale(w: Workload) -> u64 {
-    (w.default_scale() / 64).max(2000)
-}
 
 /// Which observer rides in the observer slot.
 #[derive(Clone, Copy)]
@@ -42,7 +36,7 @@ fn check_config(c: Config, key: &'static str, slot: Slot) {
     }
     let cfg = named_config(c, BASELINE_HISTORY_BITS);
     for w in Workload::ALL {
-        let program = w.build(golden_scale(w));
+        let program = w.build(GOLDEN_SCALE);
         let mut sim = Simulator::new(&program, cfg.clone());
         sim.enable_self_profiling();
         sim.enable_stall_accounting();

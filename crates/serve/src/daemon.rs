@@ -198,7 +198,7 @@ impl Server {
 }
 
 /// Session wrapper: a panic inside one session must not take down the
-/// daemon (mirrors the sweep scheduler's per-cell isolation).
+/// daemon (as a panicking cell does not take down a sweep).
 fn serve_guarded(stream: TcpStream, shared: &Shared) {
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         session::serve_connection(stream, shared);
@@ -206,7 +206,7 @@ fn serve_guarded(stream: TcpStream, shared: &Shared) {
     if let Err(payload) = result {
         eprintln!(
             "[pp-serve] session panicked: {}",
-            pp_sweep::payload_message(payload.as_ref())
+            pp_core::panic_message(payload.as_ref())
         );
     }
 }

@@ -265,11 +265,11 @@ pub fn run_worker(
     }
 }
 
-/// Run one cell through the standard execution path (flight recorder
-/// armed inside [`SweepCell::run`]) and package the outcome as a
-/// `result` frame.
+/// Run one cell through the standard execution path ([`SweepCell::run`],
+/// which catches a panic and appends the flight-recorder dump) and
+/// package the outcome as a `result` frame.
 fn execute(cell: &SweepCell, index: u64, fingerprint: &str) -> Request {
-    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| cell.run())) {
+    match cell.run() {
         Ok(stats) if stats.hit_cycle_limit => Request::Result {
             index,
             fingerprint: fingerprint.to_string(),
@@ -284,16 +284,52 @@ fn execute(cell: &SweepCell, index: u64, fingerprint: &str) -> Request {
             stats: stats.to_json(),
             message: String::new(),
         },
-        Err(payload) => Request::Result {
+        Err(message) => Request::Result {
             index,
             fingerprint: fingerprint.to_string(),
             status: WorkStatus::Panic,
             stats: String::new(),
-            message: pp_sweep::payload_message(payload.as_ref()),
+            message,
         },
     }
 }
 
 fn backoff(cfg: &WorkerConfig, retry_ms: u64) {
     std::thread::sleep(Duration::from_millis(retry_ms.max(1)).min(cfg.max_backoff));
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use pp_core::{ConfigError, SimConfig};
+    use pp_sweep::{CellErrorKind, SweepEngine};
+    use pp_workloads::Workload;
+
+    #[test]
+    fn a_panicking_cell_is_a_panic_result_with_the_local_message() {
+        let cell = SweepCell {
+            workload: Workload::Compress,
+            seed: None,
+            scale: 40,
+            config: SimConfig::baseline().with_pipeline_depth(2),
+        };
+        let fp = cell.fingerprint();
+        let Request::Result {
+            index,
+            fingerprint,
+            status,
+            stats,
+            message,
+        } = execute(&cell, 7, &fp)
+        else {
+            panic!("execute answers with a result frame");
+        };
+        assert_eq!((index, fingerprint.as_str()), (7, fp.as_str()));
+        assert_eq!(status, WorkStatus::Panic);
+        assert!(stats.is_empty());
+        let rejected = ConfigError::PipelineDepthOutOfRange { depth: 2 }.to_string();
+        assert_eq!(message, rejected);
+        let local = SweepEngine::new().with_workers(1).run(&[cell]);
+        assert_eq!(local.errors[0].kind, CellErrorKind::Panic(message));
+    }
 }

@@ -264,7 +264,7 @@ fn lease_expiry_requeues_and_the_late_result_is_redundant() {
         index,
         fingerprint,
         status: WorkStatus::Ok,
-        stats: grid[index as usize].run().to_json(),
+        stats: grid[index as usize].run().expect("cell runs").to_json(),
         message: String::new(),
     });
     match zombie.recv() {

@@ -114,27 +114,24 @@ impl SweepCell {
     /// Simulate the cell. Does **not** interpret the result — callers
     /// (the engine) decide what a `hit_cycle_limit` run means.
     ///
-    /// Runs with the flight recorder on (byte-invisible to the stats,
-    /// pinned by the golden invisibility tests): if the simulator panics
-    /// — a sanitizer violation, a commit-check divergence, an internal
-    /// bug — the panic is re-raised with the last
-    /// [`pp_core::DEFAULT_FLIGHT_DEPTH`] cycles of machine history
-    /// appended, so the `CellError::Panic` report shows what led up to
-    /// the failure instead of just where it fired.
-    pub fn run(&self) -> SimStats {
-        let program = match self.seed {
-            None => self.workload.build(self.scale),
-            Some(s) => self.workload.build_seeded(self.scale, s),
-        };
-        let mut sim = Simulator::new(&program, self.config.clone());
-        sim.enable_flight_recorder(pp_core::DEFAULT_FLIGHT_DEPTH);
-        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sim.run())) {
-            Ok(stats) => stats,
-            Err(payload) => {
-                let msg = crate::scheduler::payload_message(payload.as_ref());
-                std::panic::resume_unwind(Box::new(format!("{msg}\n{}", sim.flight_dump())));
-            }
-        }
+    /// Builds and runs under [`pp_core::run_with_flight_dump`], so a
+    /// panic anywhere in the cell — a configuration `Simulator::new`
+    /// rejects, a sanitizer violation, a commit-check divergence, an
+    /// internal bug — is `Err` with the panic text followed by the last
+    /// [`pp_core::DEFAULT_FLIGHT_DEPTH`] cycles of machine history (the
+    /// recorder is byte-invisible to the stats, pinned by the golden
+    /// invisibility tests). The caller's thread never unwinds.
+    pub fn run(&self) -> Result<SimStats, String> {
+        pp_core::run_with_flight_dump(
+            || {
+                let program = match self.seed {
+                    None => self.workload.build(self.scale),
+                    Some(s) => self.workload.build_seeded(self.scale, s),
+                };
+                Simulator::new(&program, self.config.clone())
+            },
+            Simulator::run,
+        )
     }
 }
 
@@ -208,7 +205,7 @@ mod tests {
 
     #[test]
     fn run_produces_stats() {
-        let stats = tiny(Workload::Compress).run();
+        let stats = tiny(Workload::Compress).run().expect("runs");
         assert!(stats.committed_instructions > 0);
         assert!(!stats.hit_cycle_limit);
     }

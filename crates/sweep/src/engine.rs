@@ -1,5 +1,5 @@
-//! The sweep engine: cache lookup → work-stealing simulation → cache
-//! fill, with telemetry and progress reporting along the way.
+//! The sweep engine: cache lookup → parallel simulation → cache fill,
+//! with telemetry and progress reporting along the way.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -10,7 +10,7 @@ use pp_telemetry::Registry;
 
 use crate::cell::{CellResult, SweepCell};
 use crate::error::{CellError, CellErrorKind};
-use crate::scheduler::run_stealing;
+use crate::scheduler::parallel_map;
 use crate::store::ResultStore;
 
 /// Conventional cache location used by the `sweep` CLI (relative to the
@@ -88,9 +88,9 @@ impl SweepEngine {
         std::thread::available_parallelism().map_or(1, std::num::NonZero::get)
     }
 
-    /// Run the grid. Never panics on a failing cell: each failure is a
-    /// typed [`CellError`] in the report and every other cell still
-    /// completes.
+    /// Run the grid. Never panics on a failing cell: each cell that misses
+    /// the cache is simulated once, each failure is a typed [`CellError`]
+    /// in the report, and every other cell still completes.
     pub fn run(&self, cells: &[SweepCell]) -> SweepReport {
         let store = self.cache.as_ref().map(ResultStore::new);
         let mut results: Vec<Option<CellResult>> = vec![None; cells.len()];
@@ -125,10 +125,7 @@ impl SweepEngine {
         // Pass 2: simulate the misses, up to the cell budget.
         let mut pending: Vec<usize> = (0..cells.len()).filter(|&i| results[i].is_none()).collect();
         if let Some(max) = self.max_cells {
-            for &i in pending.iter().skip(max) {
-                registry.inc(c_skipped, 1);
-                let _ = i;
-            }
+            registry.inc(c_skipped, pending.len().saturating_sub(max) as u64);
             pending.truncate(max);
         }
 
@@ -136,11 +133,12 @@ impl SweepEngine {
         let finished = AtomicUsize::new(0);
         let started = Instant::now();
         let registry = Mutex::new(registry);
-        let job_results = run_stealing(pending.len(), self.effective_workers(), |j| {
+        let workers = self.effective_workers();
+        let outcomes = parallel_map(pending.len(), workers, |j| -> Result<CellResult, String> {
             let i = pending[j];
             let cell = &cells[i];
             let t0 = Instant::now();
-            let stats = cell.run();
+            let stats = cell.run()?;
             let wall = t0.elapsed();
             if !stats.hit_cycle_limit {
                 if let Some(store) = &store {
@@ -184,40 +182,28 @@ impl SweepEngine {
                     wall.as_secs_f64(),
                 );
             }
-            result
+            Ok(result)
         });
 
         let mut registry = registry.into_inner().expect("registry lock");
-        for (j, outcome) in job_results.into_iter().enumerate() {
-            let i = pending[j];
-            let cell = &cells[i];
-            match outcome {
+        for (&i, outcome) in pending.iter().zip(outcomes) {
+            let kind = match outcome {
                 Ok(result) if !result.stats.hit_cycle_limit => {
                     results[i] = Some(result);
+                    continue;
                 }
-                Ok(result) => {
-                    registry.inc(c_failed, 1);
-                    errors.push(CellError {
-                        index: i,
-                        workload: cell.label(),
-                        config: cell.config_summary(),
-                        attempts: 1,
-                        kind: CellErrorKind::CycleLimit {
-                            max_cycles: result.stats.cycles,
-                        },
-                    });
-                }
-                Err(failure) => {
-                    registry.inc(c_failed, 1);
-                    errors.push(CellError {
-                        index: i,
-                        workload: cell.label(),
-                        config: cell.config_summary(),
-                        attempts: failure.attempts,
-                        kind: CellErrorKind::Panic(failure.message),
-                    });
-                }
-            }
+                Ok(result) => CellErrorKind::CycleLimit {
+                    max_cycles: result.stats.cycles,
+                },
+                Err(message) => CellErrorKind::Panic(message),
+            };
+            registry.inc(c_failed, 1);
+            errors.push(CellError {
+                index: i,
+                workload: cells[i].label(),
+                config: cells[i].config_summary(),
+                kind,
+            });
         }
 
         if self.progress {
@@ -394,6 +380,21 @@ mod tests {
         assert_eq!(rerun.errors.len(), 1);
         assert_eq!(rerun.cached(), 1, "only the healthy cell is cached");
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_panicking_cell_fails_once_by_name_while_the_rest_complete() {
+        let mut grid: Vec<SweepCell> = tiny_grid().into_iter().chain(tiny_grid()).collect();
+        grid[2].config = SimConfig::baseline().with_pipeline_depth(2);
+        let report = SweepEngine::new().with_workers(2).run(&grid);
+        assert_eq!(report.errors.len(), 1, "{}", report.summary());
+        let e = &report.errors[0];
+        assert_eq!((e.index, e.workload.as_str()), (2, "compress"));
+        assert!(e.config.contains("depth=2"), "{e}");
+        let rejected = pp_core::ConfigError::PipelineDepthOutOfRange { depth: 2 }.to_string();
+        assert_eq!(e.kind, CellErrorKind::Panic(rejected));
+        assert!(report.results[2].is_none());
+        assert_eq!(report.completed().len(), 3);
     }
 
     #[test]

@@ -3,8 +3,8 @@
 /// Why a cell failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CellErrorKind {
-    /// The simulation (or its harness) panicked; the payload message is
-    /// preserved.
+    /// Building or simulating the cell panicked: the panic text, then
+    /// the flight-recorder dump when the simulator had been built.
     Panic(String),
     /// The run aborted at the configured `max_cycles` without
     /// committing `halt` — a mis-sized configuration, not a crash.
@@ -14,9 +14,9 @@ pub enum CellErrorKind {
     },
 }
 
-/// A failed sweep cell: which (workload, config) pair failed, how, and
-/// after how many attempts. The rest of the grid keeps running; the
-/// caller decides whether any `CellError` fails the sweep.
+/// A failed sweep cell: which (workload, config) pair failed and how.
+/// The rest of the grid keeps running; the caller decides whether any
+/// `CellError` fails the sweep.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CellError {
     /// Index of the cell in the submitted grid.
@@ -25,10 +25,7 @@ pub struct CellError {
     pub workload: String,
     /// Short human description of the configuration.
     pub config: String,
-    /// Total attempts made (the scheduler retries once, so 2 for a
-    /// deterministic failure).
-    pub attempts: u32,
-    /// What went wrong on the final attempt.
+    /// What went wrong.
     pub kind: CellErrorKind,
 }
 
@@ -36,12 +33,8 @@ impl std::fmt::Display for CellError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "cell {} (workload {}, config {}) failed after {} attempt{}: ",
-            self.index,
-            self.workload,
-            self.config,
-            self.attempts,
-            if self.attempts == 1 { "" } else { "s" }
+            "cell {} (workload {}, config {}) failed: ",
+            self.index, self.workload, self.config
         )?;
         match &self.kind {
             CellErrorKind::Panic(msg) => write!(f, "panicked: {msg}"),
@@ -64,22 +57,18 @@ mod tests {
             index: 7,
             workload: "go".to_string(),
             config: "See window=256".to_string(),
-            attempts: 2,
             kind: CellErrorKind::Panic("boom".to_string()),
         };
         let msg = e.to_string();
         assert!(msg.contains("workload go"), "{msg}");
         assert!(msg.contains("config See window=256"), "{msg}");
-        assert!(msg.contains("2 attempts"), "{msg}");
         assert!(msg.contains("boom"), "{msg}");
 
         let e = CellError {
             kind: CellErrorKind::CycleLimit { max_cycles: 10 },
-            attempts: 1,
             ..e
         };
         let msg = e.to_string();
         assert!(msg.contains("10-cycle limit"), "{msg}");
-        assert!(msg.contains("1 attempt:"), "{msg}");
     }
 }

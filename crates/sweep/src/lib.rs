@@ -11,10 +11,12 @@
 //!   ([`ResultStore`], default `results/cache/`). Re-runs and resumed runs skip finished cells and
 //!   hand back *byte-identical* merged output, because
 //!   [`pp_core::SimStats::from_json`] is the exact inverse of `to_json`.
-//! * **Fault isolation.** A work-stealing scheduler ([`SweepEngine::run`])
-//!   catches per-cell panics, retries once, and records a typed
-//!   [`CellError`] naming the (workload, config) pair — the rest of the
-//!   grid keeps running instead of dying with the failing cell.
+//! * **Fault isolation.** Each cell catches its own panic
+//!   ([`SweepCell::run`], through [`pp_core::run_with_flight_dump`]) and
+//!   [`SweepEngine::run`] records it, once, as a typed [`CellError`]
+//!   naming the (workload, config) pair and carrying the flight-recorder
+//!   dump — the rest of the grid keeps running on an ordered parallel
+//!   map instead of dying with the failing cell.
 //! * **Observability.** Progress (cells done / cached / failed, ETA,
 //!   per-cell KIPS) streams through a [`pp_telemetry::Registry`] and an
 //!   optional stderr progress line ([`SweepEngine::with_progress`]).
@@ -45,5 +47,4 @@ pub use engine::{SweepEngine, SweepReport, DEFAULT_CACHE_DIR};
 pub use error::{CellError, CellErrorKind};
 pub use experiment::{run_experiment, Experiment, ExperimentOutcome, Rendered};
 pub use fingerprint::{fingerprint_hex, fnv1a64};
-pub use scheduler::payload_message;
 pub use store::ResultStore;

@@ -1,203 +1,75 @@
-//! Fault-isolated work-stealing job scheduler.
+//! The sweep's ordered parallel map.
 //!
-//! Jobs are dealt round-robin onto per-worker deques; a worker pops
-//! from the front of its own deque and, when empty, steals from the
-//! back of the busiest other deque. Long cells therefore never convoy
-//! short ones behind a single shared cursor, and the tail of a sweep
-//! keeps every core busy.
-//!
-//! Each job runs under [`std::panic::catch_unwind`]: a panicking job is
-//! retried once (transient failures — e.g. an out-of-disk cache write
-//! path — get a second chance) and, failing again, is reported as a
-//! [`JobFailure`] carrying the payload message. Other jobs are
-//! unaffected; nothing is poisoned because no lock is ever held across
-//! job execution.
+//! Workers claim the next job index from one shared atomic cursor, so
+//! each job runs exactly once and a worker that finishes a short cell
+//! simply claims the next one. Results come back in job-index order
+//! whatever the interleaving, which is why the worker count never
+//! reaches an artifact byte. Jobs report their own failures in `T`
+//! (`SweepCell::run` catches its panic); a panic that escapes `f` is a
+//! bug in the caller and propagates out of [`parallel_map`].
 
-use std::collections::VecDeque;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// A job that panicked on every attempt.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct JobFailure {
-    /// Attempts made (always 2: initial + one retry).
-    pub attempts: u32,
-    /// The final panic's payload, when it was a string (the common
-    /// `panic!`/`assert!` case), else a placeholder.
-    pub message: String,
-}
-
-/// Render a panic payload as the message it was raised with.
-pub fn payload_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "<non-string panic payload>".to_string()
-    }
-}
-
-/// Run `jobs` jobs across `workers` threads with work stealing,
-/// returning per-job results **in job-index order** regardless of
-/// scheduling. `run(i)` executes job `i`; a panic inside it is caught,
-/// retried once, and surfaced as `Err(JobFailure)` for that job alone.
-pub(crate) fn run_stealing<T, F>(jobs: usize, workers: usize, run: F) -> Vec<Result<T, JobFailure>>
+/// `f(0), f(1), …, f(jobs - 1)` computed on up to `workers` scoped
+/// threads, returned in index order.
+pub(crate) fn parallel_map<T, F>(jobs: usize, workers: usize, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    if jobs == 0 {
-        return Vec::new();
-    }
-    let n_workers = workers.clamp(1, jobs);
-    let queues: Vec<Mutex<VecDeque<usize>>> = (0..n_workers)
-        .map(|w| {
-            // Deal round-robin so each worker starts near the grid's
-            // natural order (cache-friendly for per-workload state).
-            Mutex::new((w..jobs).step_by(n_workers).collect())
-        })
-        .collect();
-    let queues = &queues;
-    let run = &run;
-
-    let attempt_job = |i: usize| -> Result<T, JobFailure> {
-        // AssertUnwindSafe: on a caught panic the job's partial state is
-        // discarded entirely (we only keep the typed failure), so no
-        // broken invariant can leak into later jobs.
-        for attempt in 1..=2u32 {
-            match catch_unwind(AssertUnwindSafe(|| run(i))) {
-                Ok(v) => return Ok(v),
-                Err(payload) if attempt == 2 => {
-                    return Err(JobFailure {
-                        attempts: attempt,
-                        message: payload_message(payload.as_ref()),
-                    })
-                }
-                Err(_) => {}
-            }
-        }
-        unreachable!("loop returns on success or second failure")
-    };
-
-    let mut results: Vec<Option<Result<T, JobFailure>>> = (0..jobs).map(|_| None).collect();
+    let cursor = AtomicUsize::new(0);
+    let mut results: Vec<Option<T>> = (0..jobs).map(|_| None).collect();
     std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..n_workers)
-            .map(|w| {
-                scope.spawn(move || {
-                    let mut out: Vec<(usize, Result<T, JobFailure>)> = Vec::new();
+        let handles: Vec<_> = (0..workers.clamp(1, jobs.max(1)))
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut out = Vec::new();
                     loop {
-                        // Own queue first (front: preserve dealt order)…
-                        let next = queues[w].lock().expect("queue lock").pop_front();
-                        let i = match next {
-                            Some(i) => i,
-                            None => {
-                                // …then steal from the back of the
-                                // fullest other queue.
-                                let victim = (0..n_workers)
-                                    .filter(|&v| v != w)
-                                    .max_by_key(|&v| queues[v].lock().expect("queue lock").len());
-                                match victim
-                                    .and_then(|v| queues[v].lock().expect("queue lock").pop_back())
-                                {
-                                    Some(i) => i,
-                                    None => break,
-                                }
-                            }
-                        };
-                        out.push((i, attempt_job(i)));
+                        let i = cursor.fetch_add(1, Ordering::Relaxed);
+                        if i >= jobs {
+                            return out;
+                        }
+                        out.push((i, f(i)));
                     }
-                    out
                 })
             })
             .collect();
         for h in handles {
-            // Worker threads cannot panic: every job runs under
-            // catch_unwind and queue locks are never held across jobs.
-            for (i, r) in h.join().expect("worker thread never panics") {
-                results[i] = Some(r);
+            for (i, v) in h.join().expect("a sweep job panicked") {
+                results[i] = Some(v);
             }
         }
     });
     results
         .into_iter()
-        .map(|r| r.expect("every dealt job was executed by exactly one worker"))
+        .map(|v| v.expect("the cursor hands out every index once"))
         .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn results_in_job_order_for_any_worker_count() {
         for workers in [1, 2, 3, 8, 64] {
-            let out = run_stealing(17, workers, |i| i * i);
-            assert_eq!(out.len(), 17);
-            for (i, r) in out.iter().enumerate() {
-                assert_eq!(r.as_ref().unwrap(), &(i * i), "{workers} workers");
+            let out = parallel_map(17, workers, |i| i * i);
+            let expect: Vec<usize> = (0..17).map(|i| i * i).collect();
+            assert_eq!(out, expect, "{workers} workers");
+        }
+        assert!(parallel_map(0, 4, |i| i).is_empty());
+    }
+
+    #[test]
+    fn each_job_runs_exactly_once() {
+        for workers in [1, 2, 8] {
+            let calls: Vec<AtomicUsize> = (0..40).map(|_| AtomicUsize::new(0)).collect();
+            parallel_map(calls.len(), workers, |i| {
+                calls[i].fetch_add(1, Ordering::Relaxed);
+            });
+            for (i, c) in calls.iter().enumerate() {
+                assert_eq!(c.load(Ordering::Relaxed), 1, "job {i}, {workers} workers");
             }
         }
-    }
-
-    #[test]
-    fn empty_and_oversubscribed() {
-        assert!(run_stealing(0, 4, |i| i).is_empty());
-        let out = run_stealing(2, 100, |i| i);
-        assert_eq!(out.len(), 2);
-    }
-
-    #[test]
-    fn a_panicking_job_fails_alone_and_is_retried_once() {
-        let calls = AtomicUsize::new(0);
-        let out = run_stealing(5, 2, |i| {
-            if i == 3 {
-                calls.fetch_add(1, Ordering::SeqCst);
-                panic!("job {i} exploded");
-            }
-            i
-        });
-        for (i, r) in out.iter().enumerate() {
-            if i == 3 {
-                let f = r.as_ref().unwrap_err();
-                assert_eq!(f.attempts, 2);
-                assert!(f.message.contains("job 3 exploded"), "{}", f.message);
-            } else {
-                assert_eq!(r.as_ref().unwrap(), &i);
-            }
-        }
-        // Initial attempt + exactly one retry.
-        assert_eq!(calls.load(Ordering::SeqCst), 2);
-    }
-
-    #[test]
-    fn transient_panic_succeeds_on_retry() {
-        let first = AtomicUsize::new(0);
-        let out = run_stealing(1, 1, |i| {
-            if first.fetch_add(1, Ordering::SeqCst) == 0 {
-                panic!("transient");
-            }
-            i + 10
-        });
-        assert_eq!(out[0].as_ref().unwrap(), &10);
-    }
-
-    #[test]
-    fn work_is_actually_stolen() {
-        // One worker's queue gets all the slow jobs; with 2 workers the
-        // other must steal. We can't assert scheduling directly, but we
-        // can assert completeness under adversarial imbalance.
-        let out = run_stealing(64, 2, |i| {
-            if i % 2 == 0 {
-                std::thread::sleep(std::time::Duration::from_micros(200));
-            }
-            i
-        });
-        assert_eq!(out.len(), 64);
-        assert!(out
-            .iter()
-            .enumerate()
-            .all(|(i, r)| r.as_ref().unwrap() == &i));
     }
 }

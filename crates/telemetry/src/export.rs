@@ -269,10 +269,17 @@ pub fn write_timeseries_csv<W: Write>(w: &mut W, ts: &TimeSeries) -> io::Result<
 /// Write the Chrome trace-event artifact
 /// (`chrome://tracing` / Perfetto "load trace file" format). Returns
 /// the number of trace events written (process/thread metadata doesn't
-/// count, so an event-free trace is an empty export and errors).
+/// count, so an event-free trace is an empty export and errors). The
+/// top-level `"otherData":{"dropped_events":N}` records how many events
+/// the trace's cap ([`ChromeTrace::dropped`]) kept out, so a cut trace
+/// says so.
 pub fn write_chrome_trace<W: Write>(w: &mut W, trace: &ChromeTrace) -> io::Result<usize> {
     nonempty("trace.json", trace.events().len())?;
-    write!(w, "{{\"displayTimeUnit\":\"ns\",\"traceEvents\":[")?;
+    write!(
+        w,
+        "{{\"displayTimeUnit\":\"ns\",\"otherData\":{{\"dropped_events\":{}}},\"traceEvents\":[",
+        trace.dropped()
+    )?;
     let mut first = true;
     let sep = |w: &mut W, first: &mut bool| -> io::Result<()> {
         if !*first {

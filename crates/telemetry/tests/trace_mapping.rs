@@ -3,7 +3,9 @@
 //! spans, because both go through [`ChromeTrace::lifecycle`].
 
 use pp_core::{PipeView, SimConfig, Simulator};
-use pp_telemetry::{ChromeTrace, TelemetryConfig, TelemetryObserver, DEFAULT_MAX_TRACE_EVENTS};
+use pp_telemetry::{
+    write_chrome_trace, ChromeTrace, TelemetryConfig, TelemetryObserver, DEFAULT_MAX_TRACE_EVENTS,
+};
 use pp_workloads::Workload;
 
 /// Large enough that neither trace drops an event at this scale.
@@ -65,7 +67,25 @@ fn a_capped_trace_keeps_the_first_events_and_counts_the_rest() {
         let capped = ChromeTrace::from_pipeview(&view, cap);
         assert_eq!(capped.events(), &all[..cap], "cap {cap}");
         assert_eq!(capped.dropped(), (all.len() - cap) as u64, "cap {cap}");
+        // The written artifact carries the count (an event-free trace is
+        // an empty export, so cap 0 writes nothing).
+        if cap > 0 {
+            assert_eq!(written_dropped(&capped), capped.dropped(), "cap {cap}");
+        }
     }
+    assert_eq!(written_dropped(&full), 0);
+}
+
+/// `otherData.dropped_events` of `t` as `write_chrome_trace` writes it.
+fn written_dropped(t: &ChromeTrace) -> u64 {
+    let mut buf = Vec::new();
+    write_chrome_trace(&mut buf, t).expect("a non-empty trace writes");
+    let text = String::from_utf8(buf).expect("utf-8");
+    let json = pp_core::json::parse(&text).expect("the trace is valid JSON");
+    json.get("otherData")
+        .and_then(|o| o.get("dropped_events"))
+        .and_then(pp_core::json::Value::as_u64)
+        .expect("otherData.dropped_events is a count")
 }
 
 #[test]

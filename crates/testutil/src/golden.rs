@@ -12,6 +12,16 @@
 
 use std::path::{Path, PathBuf};
 
+/// Dynamic scale every workload is built at for the golden `SimStats`
+/// snapshots and for the suites that re-run exactly those cells (the
+/// differential and trace-invisibility suites). One constant for all
+/// eight workloads, independent of `PP_SCALE`, so the committed inputs
+/// never vary with the environment. Against each workload's
+/// `default_scale` (260 for perl to 2,400 for gcc) it runs from 0.83×
+/// (gcc) to 7.7× (perl) of the paper-evaluation scale, so these cells
+/// are full-size runs, not reduced ones.
+pub const GOLDEN_SCALE: u64 = 2000;
+
 /// Environment variable that switches [`check_golden`] from *compare*
 /// mode into *regenerate* mode when set to `1`.
 pub const UPDATE_ENV: &str = "PP_UPDATE_GOLDEN";

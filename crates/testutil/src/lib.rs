@@ -140,17 +140,21 @@ pub fn cases(n: u64, body: impl Fn(&mut Rng)) {
 /// Like [`cases`] but starting at `first` — re-run a single failing seed
 /// with `cases_from(seed, 1, …)` while debugging.
 pub fn cases_from(first: u64, n: u64, body: impl Fn(&mut Rng)) {
-    for seed in first..first + n {
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let mut rng = Rng::new(seed);
-            body(&mut rng);
-        }));
-        if let Err(payload) = result {
-            eprintln!(
-                "pp-testutil: case failed at seed {seed} (re-run with cases_from({seed}, 1, ...))"
-            );
-            std::panic::resume_unwind(payload);
+    /// Names the seed while a failing case unwinds through it.
+    struct Seed(u64);
+    impl Drop for Seed {
+        fn drop(&mut self) {
+            if std::thread::panicking() {
+                let seed = self.0;
+                eprintln!(
+                    "pp-testutil: case failed at seed {seed} (re-run with cases_from({seed}, 1, ...))"
+                );
+            }
         }
+    }
+    for seed in first..first + n {
+        let _named = Seed(seed);
+        body(&mut Rng::new(seed));
     }
 }
 
