@@ -1082,3 +1082,48 @@ fn flight_dump_contains_the_failing_cycle() {
         "dump lines carry CTX annotations:\n{dump}"
     );
 }
+
+/// Timing laws E1–E3, byte for byte on every workload: SEE and
+/// dual-path under an estimator that is never diffident never diverge,
+/// so they are monopath (E1, E2); and with one path, fetch arbitration
+/// has nothing to decide (E3). The lock-step oracle checks only *what*
+/// commits; these pin *when*.
+#[test]
+fn monopath_equivalence_laws_hold_byte_for_byte() {
+    use pp_core::FetchPolicy;
+    use pp_workloads::Workload;
+    let always_high = |mode| {
+        SimConfig::baseline()
+            .with_mode(mode)
+            .with_confidence(ConfidenceKind::AlwaysHigh)
+    };
+    let mut laws = vec![
+        ("E1 SEE/always_high", always_high(ExecMode::See)),
+        ("E2 dual-path/always_high", always_high(ExecMode::DualPath)),
+    ];
+    for policy in [
+        FetchPolicy::ExponentialByAge,
+        FetchPolicy::OldestFirst,
+        FetchPolicy::RoundRobin,
+        FetchPolicy::VariableRate,
+    ] {
+        laws.push((
+            "E3 monopath fetch policy",
+            SimConfig::monopath_baseline().with_fetch_policy(policy),
+        ));
+    }
+    for w in Workload::ALL {
+        let program = w.build(w.default_scale() / 20);
+        let run = |cfg: SimConfig| Simulator::new(&program, cfg).run().to_json();
+        let monopath = run(SimConfig::monopath_baseline());
+        for (law, cfg) in &laws {
+            let policy = cfg.fetch_policy;
+            assert_eq!(
+                run(cfg.clone()),
+                monopath,
+                "{law} ({policy:?}) on {}",
+                w.name()
+            );
+        }
+    }
+}

@@ -22,7 +22,8 @@
 //! workers until killed), `--telemetry-out DIR` (export the `serve.*`
 //! registry as JSONL on exit).
 //!
-//! Exits 0 when every cell completed, 1 otherwise. Honours `PP_SCALE`
+//! Prints each failed cell as `sweep run` does (`error: …`). Exits 0
+//! when every cell completed, 1 otherwise. Honours `PP_SCALE`
 //! exactly like the local sweep (workers must run with the same value —
 //! skew is caught by the handshake, not silently cached).
 
@@ -131,6 +132,9 @@ fn main() {
     }
     let summary = server.run(!opts.linger);
     println!("[pp-serve] {}", summary.summary());
+    for e in &summary.errors {
+        eprintln!("error: {e}");
+    }
     if let Some(dir) = &opts.telemetry_out {
         let path = dir.join("serve.metrics.jsonl");
         let write = std::fs::create_dir_all(dir).and_then(|()| {

@@ -15,7 +15,7 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use pp_sweep::{ResultStore, SweepCell};
+use pp_sweep::{CellError, ResultStore, SweepCell};
 use pp_telemetry::Registry;
 
 use crate::runtime::{Runtime, ServeConfig, Snapshot};
@@ -50,6 +50,9 @@ impl ShutdownHandle {
 pub struct ServeSummary {
     /// Final grid progress.
     pub snapshot: Snapshot,
+    /// Failures workers reported, in grid order: what a local sweep of
+    /// the grid reports, full message included.
+    pub errors: Vec<CellError>,
     /// The runtime's telemetry registry (`serve.*` instruments), for
     /// JSONL export.
     pub registry: Registry,
@@ -106,17 +109,6 @@ impl Server {
         ShutdownHandle {
             shared: Arc::clone(&self.shared),
         }
-    }
-
-    /// Current grid progress (usable from another thread via
-    /// [`Server::shutdown_handle`]'s clone of the shared state — this
-    /// one is for tests and the daemon's own logging).
-    pub fn snapshot(&self) -> Snapshot {
-        self.shared
-            .runtime
-            .lock()
-            .expect("serve runtime lock")
-            .snapshot()
     }
 
     /// Run to completion. With `exit_when_done`, returns as soon as
@@ -188,12 +180,11 @@ impl Server {
                 }
             }
         };
-        let runtime = shared.runtime.into_inner().expect("serve runtime lock");
-        let snapshot = runtime.snapshot();
-        ServeSummary {
-            snapshot,
-            registry: runtime.into_registry(),
-        }
+        shared
+            .runtime
+            .into_inner()
+            .expect("serve runtime lock")
+            .into_summary()
     }
 }
 

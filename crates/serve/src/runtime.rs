@@ -6,8 +6,8 @@
 //! and the daemon's reaper calls [`Runtime::expire`] on a timer. Every
 //! method that touches a deadline takes an explicit `now: Instant`, so
 //! the whole lease state machine — expiry, requeue-exactly-once,
-//! attempt budgets, lease release — is unit-tested without a socket or
-//! a sleep.
+//! terminal failure reports, lease release — is unit-tested without a
+//! socket or a sleep.
 //!
 //! ## Lease state machine
 //!
@@ -15,11 +15,15 @@
 //!            lease()                    complete(ok)
 //! Pending ─────────────→ Leased ─────────────────────→ Complete
 //!    ↑                      │
-//!    │   expire()/depart()/complete(fail), attempts < budget
+//!    │   expire()/depart(), first lease
 //!    └──────────────────────┤
-//!                           │  same, attempts = budget
+//!                           │  complete(fail), or expire()/depart()
+//!                           │  of the second lease
 //!                           └─────────────────────────→ Failed
 //! ```
+//!
+//! A worker's failure report is final, as in a local sweep; a lost
+//! worker's cell (expiry, disconnect) is requeued exactly once.
 //!
 //! A cell found in the shared [`ResultStore`] — at startup or by the
 //! re-check when it comes up for lease — jumps straight to `Complete`
@@ -41,10 +45,14 @@ use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 
 use pp_core::SimStats;
-use pp_sweep::{fingerprint_hex, ResultStore, SweepCell};
+use pp_sweep::{fingerprint_hex, CellError, CellErrorKind, ResultStore, SweepCell};
 use pp_telemetry::{GaugeId, Registry};
 
+use crate::daemon::ServeSummary;
 use crate::wire::WorkStatus;
+
+/// Leases a cell may get: a lost worker's cell is requeued exactly once.
+const MAX_LEASES: u32 = 2;
 
 /// Tuning knobs for the daemon. The defaults suit a loopback CI run;
 /// production sweeps raise the limits, not the structure.
@@ -57,10 +65,6 @@ pub struct ServeConfig {
     pub lease_timeout: Duration,
     /// Back-off suggested to refused or waiting clients, milliseconds.
     pub retry_ms: u64,
-    /// Times a cell may be handed out before it is marked failed
-    /// (2 = the requeue-exactly-once policy: one retry after one
-    /// death or failure report).
-    pub max_attempts: u32,
     /// Socket read timeout for sessions (also the shutdown-notice
     /// latency: an idle session checks for shutdown this often).
     pub read_timeout: Duration,
@@ -80,7 +84,6 @@ impl Default for ServeConfig {
             max_clients: 8,
             lease_timeout: Duration::from_secs(120),
             retry_ms: 250,
-            max_attempts: 2,
             read_timeout: Duration::from_millis(100),
             write_timeout: Duration::from_secs(10),
             done_grace: Duration::from_secs(2),
@@ -158,26 +161,27 @@ pub struct Snapshot {
     pub complete: u64,
     /// Currently leased out.
     pub leased: u64,
-    /// Requeue events so far (expiries, departs, failure reports that
-    /// left retry budget).
+    /// Requeue events so far (expiries, departs, unparsable results): a
+    /// lost worker's cell is retried once; a reported failure never is.
     pub requeued: u64,
     /// Permanently failed.
     pub failed: u64,
 }
 
+/// `Failed` holds the worker's report, or `None` when both leases were lost.
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum CellState {
     Pending,
     Leased { holder: ClientId, deadline: Instant },
     Complete,
-    Failed,
+    Failed(Option<CellError>),
 }
 
 struct CellSlot {
     cell: SweepCell,
     fingerprint: String,
     state: CellState,
-    /// Leases handed out so far (bounds retries).
+    /// Leases handed out so far (bounded by [`MAX_LEASES`]).
     attempts: u32,
 }
 
@@ -311,7 +315,7 @@ impl Runtime {
     pub fn is_done(&self) -> bool {
         self.cells
             .iter()
-            .all(|s| matches!(s.state, CellState::Complete | CellState::Failed))
+            .all(|s| matches!(s.state, CellState::Complete | CellState::Failed(_)))
     }
 
     /// Record a protocol fault (malformed frame, bad handshake) for
@@ -416,9 +420,11 @@ impl Runtime {
         }
     }
 
-    /// Accept a worker's result for `index`. Returns `Ok(redundant)`
-    /// where `redundant` means the cell was already complete (a late
-    /// duplicate after an expiry — acknowledged, not an error).
+    /// Accept a worker's result for `index`: `payload` is the stats JSON
+    /// for [`WorkStatus::Ok`], else the failure message, and a failure
+    /// is final. Returns `Ok(redundant)` where `redundant` means the
+    /// cell had already finished (a late duplicate after an expiry —
+    /// acknowledged, not an error).
     ///
     /// # Errors
     /// A fingerprint/index mismatch or unparsable stats is a protocol
@@ -430,7 +436,7 @@ impl Runtime {
         index: usize,
         fingerprint: &str,
         status: WorkStatus,
-        stats_json: &str,
+        payload: &str,
     ) -> Result<bool, ResultError> {
         if index >= self.cells.len() {
             self.note_fault();
@@ -443,9 +449,9 @@ impl Runtime {
                  and behavior revision)"
             )));
         }
-        let stats = match status {
-            WorkStatus::Ok => match SimStats::from_json(stats_json) {
-                Ok(s) => Some(s),
+        let outcome = match status {
+            WorkStatus::Ok => match SimStats::from_json(payload) {
+                Ok(s) => Ok(s),
                 Err(e) => {
                     self.note_fault();
                     self.release_lease(id, index);
@@ -455,24 +461,34 @@ impl Runtime {
                     )));
                 }
             },
-            _ => None,
+            WorkStatus::Panic => Err(CellErrorKind::Panic(payload.to_string())),
+            WorkStatus::CycleLimit => Err(CellErrorKind::CycleLimit {
+                max_cycles: self.cells[index].cell.config.max_cycles,
+            }),
         };
 
         self.release_lease(id, index);
-        if self.cells[index].state == CellState::Complete {
+        let slot = &mut self.cells[index];
+        let failed = matches!(slot.state, CellState::Failed(_));
+        if slot.state == CellState::Complete || (failed && outcome.is_err()) {
             return Ok(true); // late duplicate; already counted
         }
-        match stats {
-            Some(stats) => {
+        match outcome {
+            Ok(stats) => {
                 if let Some(store) = &self.store {
-                    if let Err(e) = store.save(&self.cells[index].cell, &stats) {
+                    if let Err(e) = store.save(&slot.cell, &stats) {
                         eprintln!("[pp-serve] warning: could not store cell {index}: {e}");
                     }
                 }
-                self.cells[index].state = CellState::Complete;
+                slot.state = CellState::Complete;
                 self.registry.inc(self.ids.complete, 1);
             }
-            None => self.requeue(index),
+            Err(kind) => {
+                let error = CellError::new(index, &slot.cell, kind);
+                eprintln!("[pp-serve] FAILED: {error}");
+                slot.state = CellState::Failed(Some(error));
+                self.registry.inc(self.ids.failed, 1);
+            }
         }
         self.update_gauges();
         Ok(false)
@@ -511,7 +527,7 @@ impl Runtime {
             match s.state {
                 CellState::Complete => complete += 1,
                 CellState::Leased { .. } => leased += 1,
-                CellState::Failed => failed += 1,
+                CellState::Failed(_) => failed += 1,
                 CellState::Pending => {}
             }
         }
@@ -524,14 +540,19 @@ impl Runtime {
         }
     }
 
-    /// The telemetry registry (the daemon exports it at exit).
-    pub fn registry(&self) -> &Registry {
-        &self.registry
-    }
-
-    /// Consume the runtime, yielding its registry for export.
-    pub fn into_registry(self) -> Registry {
-        self.registry
+    /// Consume the runtime into the daemon's final report, with every
+    /// failure a worker reported in grid order.
+    pub fn into_summary(self) -> ServeSummary {
+        let snapshot = self.snapshot();
+        let errors = self.cells.into_iter().filter_map(|s| match s.state {
+            CellState::Failed(e) => e,
+            _ => None,
+        });
+        ServeSummary {
+            snapshot,
+            errors: errors.collect(),
+            registry: self.registry,
+        }
     }
 
     fn client_mut(&mut self, id: ClientId) -> Option<&mut ClientSlot> {
@@ -551,15 +572,15 @@ impl Runtime {
         }
     }
 
-    /// Return a leased/reported cell to the queue, or fail it when its
-    /// attempt budget is spent. One call = one requeue event.
+    /// Return a lost cell to the queue, or fail it when its
+    /// [`MAX_LEASES`] are spent. One call = one requeue event.
     fn requeue(&mut self, index: usize) {
         let slot = &mut self.cells[index];
-        if matches!(slot.state, CellState::Complete | CellState::Failed) {
+        if matches!(slot.state, CellState::Complete | CellState::Failed(_)) {
             return;
         }
-        if slot.attempts >= self.cfg.max_attempts {
-            slot.state = CellState::Failed;
+        if slot.attempts >= MAX_LEASES {
+            slot.state = CellState::Failed(None);
             self.registry.inc(self.ids.failed, 1);
             return;
         }
@@ -604,7 +625,6 @@ mod tests {
             max_clients: 2,
             lease_timeout: Duration::from_millis(100),
             retry_ms: 10,
-            max_attempts: 2,
             ..ServeConfig::default()
         }
     }
@@ -750,18 +770,30 @@ mod tests {
     }
 
     #[test]
-    fn failure_report_requeues_then_fails() {
-        let mut rt = rt(1);
-        let now = Instant::now();
-        let a = admit(&mut rt, "a");
-        let (i, fp) = lease_index(&mut rt, a, now);
-        assert!(!rt.complete(a, i, &fp, WorkStatus::Panic, "").unwrap());
-        assert_eq!(rt.snapshot().requeued, 1);
-        let (j, fp2) = lease_index(&mut rt, a, now);
-        assert_eq!(i, j);
-        assert!(!rt.complete(a, j, &fp2, WorkStatus::CycleLimit, "").unwrap());
-        assert!(rt.is_done());
-        assert_eq!(rt.snapshot().failed, 1);
+    fn failure_report_is_terminal() {
+        for (status, kind) in [
+            (
+                WorkStatus::Panic,
+                CellErrorKind::Panic("boom\nflight".to_string()),
+            ),
+            (
+                WorkStatus::CycleLimit,
+                CellErrorKind::CycleLimit {
+                    max_cycles: SimConfig::baseline().max_cycles,
+                },
+            ),
+        ] {
+            let mut rt = rt(1);
+            let now = Instant::now();
+            let a = admit(&mut rt, "a");
+            let (i, fp) = lease_index(&mut rt, a, now);
+            assert!(!rt.complete(a, i, &fp, status, "boom\nflight").unwrap());
+            let s = rt.snapshot();
+            assert_eq!((s.failed, s.requeued), (1, 0), "{status:?}");
+            assert_eq!(rt.lease(a, now), LeaseOutcome::Done, "{status:?}");
+            let expected = CellError::new(i, &rt.cells[i].cell, kind);
+            assert_eq!(rt.into_summary().errors, [expected]);
+        }
     }
 
     #[test]
@@ -829,7 +861,7 @@ mod tests {
         rt.complete(a, i, &fp, WorkStatus::Ok, &stats.to_json())
             .unwrap();
         rt.depart(a);
-        let reg = rt.registry();
+        let reg = &rt.registry;
         let get = |name: &str| {
             reg.counters()
                 .find(|(n, _)| *n == name)

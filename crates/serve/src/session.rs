@@ -17,7 +17,7 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 use crate::runtime::{AdmitOutcome, ClientId, LeaseOutcome, Runtime};
-use crate::wire::{Reply, Request, MAX_LINE_BYTES, PROTO_VERSION};
+use crate::wire::{Reply, Request, WorkStatus, MAX_LINE_BYTES, PROTO_VERSION};
 
 /// State shared between the daemon's accept loop and every session.
 pub(crate) struct Shared {
@@ -85,6 +85,13 @@ fn send(stream: &mut TcpStream, reply: &Reply) -> std::io::Result<()> {
     stream.flush()
 }
 
+/// Count a protocol fault and tell the client, best effort, why it is
+/// being dropped.
+fn fault(stream: &mut TcpStream, shared: &Shared, reason: String) {
+    shared.runtime().note_fault();
+    let _ = send(stream, &Reply::Error { reason });
+}
+
 /// Serve one accepted connection to completion. Never panics the
 /// daemon: every failure path closes this session only.
 pub(crate) fn serve_connection(stream: TcpStream, shared: &Shared) {
@@ -125,12 +132,10 @@ pub(crate) fn serve_connection(stream: TcpStream, shared: &Shared) {
             }
             Read::Gone => break,
             Read::Oversized => {
-                shared.runtime().note_fault();
-                let _ = send(
+                fault(
                     &mut writer,
-                    &Reply::Error {
-                        reason: format!("frame exceeds {MAX_LINE_BYTES} bytes"),
-                    },
+                    shared,
+                    format!("frame exceeds {MAX_LINE_BYTES} bytes"),
                 );
                 break;
             }
@@ -143,13 +148,7 @@ pub(crate) fn serve_connection(stream: TcpStream, shared: &Shared) {
             Err(e) => {
                 // Garbage or truncated frame: typed error, then drop
                 // the client (its leases requeue via depart below).
-                shared.runtime().note_fault();
-                let _ = send(
-                    &mut writer,
-                    &Reply::Error {
-                        reason: e.to_string(),
-                    },
-                );
+                fault(&mut writer, shared, e.to_string());
                 break;
             }
         };
@@ -185,18 +184,17 @@ pub(crate) fn serve_connection(stream: TcpStream, shared: &Shared) {
                 stats,
                 message,
             } => {
-                if !message.is_empty() {
-                    eprintln!(
-                        "[pp-serve] cell {index} reported {status:?}: {}",
-                        message.lines().next().unwrap_or("")
-                    );
-                }
+                let payload = if status == WorkStatus::Ok {
+                    &stats
+                } else {
+                    &message
+                };
                 match shared.runtime().complete(
                     client_id,
                     index as usize,
                     &fingerprint,
                     status,
-                    &stats,
+                    payload,
                 ) {
                     Ok(redundant) => Reply::Ack {
                         index,
@@ -260,34 +258,17 @@ fn handshake(
     let (client, proto) = match hello {
         Ok(Request::Hello { client, proto }) => (client, proto),
         Ok(_) => {
-            shared.runtime().note_fault();
-            let _ = send(
-                writer,
-                &Reply::Error {
-                    reason: "expected hello".to_string(),
-                },
-            );
+            fault(writer, shared, "expected hello".to_string());
             return None;
         }
         Err(e) => {
-            shared.runtime().note_fault();
-            let _ = send(
-                writer,
-                &Reply::Error {
-                    reason: e.to_string(),
-                },
-            );
+            fault(writer, shared, e.to_string());
             return None;
         }
     };
     if proto != PROTO_VERSION {
-        shared.runtime().note_fault();
-        let _ = send(
-            writer,
-            &Reply::Error {
-                reason: format!("protocol {proto} unsupported (server speaks {PROTO_VERSION})"),
-            },
-        );
+        let reason = format!("protocol {proto} unsupported (server speaks {PROTO_VERSION})");
+        fault(writer, shared, reason);
         return None;
     }
     let (outcome, welcome) = {

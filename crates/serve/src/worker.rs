@@ -10,16 +10,17 @@
 //! revision skew between hosts degrades to a typed [`WorkerError`],
 //! never a silently-wrong result in the shared cache.
 //!
-//! Execution reuses [`SweepCell::run`] unchanged, flight recorder
-//! included: a panicking cell reports `status=panic` with the last
-//! recorded cycles of machine history in the message, exactly what a
-//! local sweep's `CellError::Panic` would carry.
+//! Execution reuses [`SweepCell::run`] unchanged, classification and
+//! flight recorder included: a panicking cell reports `status=panic`
+//! with the last recorded cycles of machine history in the message,
+//! exactly what a local sweep's `CellErrorKind::Panic` would carry, and
+//! the daemon records it as the same `CellError`.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
-use pp_sweep::SweepCell;
+use pp_sweep::{CellErrorKind, SweepCell};
 
 use crate::wire::{Reply, Request, WorkStatus, PROTO_VERSION};
 
@@ -224,13 +225,8 @@ pub fn run_worker(
                 }
                 eprintln!("[pp-work] {} cell {index} ({label})", cfg.client);
                 let result = execute(cell, index, &fingerprint);
-                let failed = !matches!(
-                    result,
-                    Request::Result {
-                        status: WorkStatus::Ok,
-                        ..
-                    }
-                );
+                let failed =
+                    matches!(&result, Request::Result { status, .. } if *status != WorkStatus::Ok);
                 conn.send(&result)?;
                 match conn.recv()? {
                     Reply::Ack { cached, .. } => {
@@ -266,31 +262,22 @@ pub fn run_worker(
 }
 
 /// Run one cell through the standard execution path ([`SweepCell::run`],
-/// which catches a panic and appends the flight-recorder dump) and
-/// package the outcome as a `result` frame.
+/// which classifies the outcome and appends the flight-recorder dump to
+/// a panic) and package it as a `result` frame.
 fn execute(cell: &SweepCell, index: u64, fingerprint: &str) -> Request {
-    match cell.run() {
-        Ok(stats) if stats.hit_cycle_limit => Request::Result {
-            index,
-            fingerprint: fingerprint.to_string(),
-            status: WorkStatus::CycleLimit,
-            stats: String::new(),
-            message: format!("hit the {}-cycle limit before halting", stats.cycles),
-        },
-        Ok(stats) => Request::Result {
-            index,
-            fingerprint: fingerprint.to_string(),
-            status: WorkStatus::Ok,
-            stats: stats.to_json(),
-            message: String::new(),
-        },
-        Err(message) => Request::Result {
-            index,
-            fingerprint: fingerprint.to_string(),
-            status: WorkStatus::Panic,
-            stats: String::new(),
-            message,
-        },
+    let (status, stats, message) = match cell.run() {
+        Ok(stats) => (WorkStatus::Ok, stats.to_json(), String::new()),
+        Err(CellErrorKind::Panic(message)) => (WorkStatus::Panic, String::new(), message),
+        Err(CellErrorKind::CycleLimit { .. }) => {
+            (WorkStatus::CycleLimit, String::new(), String::new())
+        }
+    };
+    Request::Result {
+        index,
+        fingerprint: fingerprint.to_string(),
+        status,
+        stats,
+        message,
     }
 }
 
@@ -302,7 +289,7 @@ fn backoff(cfg: &WorkerConfig, retry_ms: u64) {
 mod tests {
     use super::*;
     use pp_core::{ConfigError, SimConfig};
-    use pp_sweep::{CellErrorKind, SweepEngine};
+    use pp_sweep::SweepEngine;
     use pp_workloads::Workload;
 
     #[test]

@@ -6,7 +6,9 @@
 //! a slow client that stops reading — and pins the session invariant:
 //! the daemon stays up, the dead client's lease is requeued **exactly
 //! once**, its admission slot is released, and an honest worker then
-//! completes the grid.
+//! completes the grid. A cell that fails on an honest worker is the
+//! other half of the contract: simulated once, never requeued, and
+//! reported exactly as a local sweep reports it.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -17,7 +19,7 @@ use pp_serve::{
     run_worker, Reply, Request, ServeConfig, ServeSummary, Server, WorkStatus, WorkerConfig,
     PROTO_VERSION,
 };
-use pp_sweep::SweepCell;
+use pp_sweep::{SweepCell, SweepEngine};
 use pp_workloads::Workload;
 
 /// Cheap, fixed-scale cells (independent of `PP_SCALE`, like the store
@@ -237,6 +239,10 @@ fn lease_expiry_requeues_and_the_late_result_is_redundant() {
     let mut zombie = RawClient::open(&addr);
     zombie.handshake("zombie");
     let (index, fingerprint) = zombie.lease();
+    // Its result is computed now, while it holds the lease silently:
+    // simulating after the honest worker finishes could outlast the
+    // daemon's `done_grace` on a loaded host.
+    let late_stats = grid[index as usize].run().expect("cell runs").to_json();
 
     // An observer polls progress (its frames touch only its own,
     // nonexistent leases) until the reaper has requeued the zombie's
@@ -264,7 +270,7 @@ fn lease_expiry_requeues_and_the_late_result_is_redundant() {
         index,
         fingerprint,
         status: WorkStatus::Ok,
-        stats: grid[index as usize].run().expect("cell runs").to_json(),
+        stats: late_stats,
         message: String::new(),
     });
     match zombie.recv() {
@@ -337,4 +343,44 @@ fn wrong_protocol_version_is_refused_before_admission() {
     honest_worker(&addr, &grid, "honest");
     let summary = handle.join().expect("daemon thread");
     assert!(summary.all_complete(), "{}", summary.summary());
+}
+
+#[test]
+fn a_served_failure_is_simulated_once_and_reported_like_a_local_one() {
+    // The failing cell of the engine's own panic test: `Simulator::new`
+    // rejects a 2-stage pipeline, deterministically, on any worker.
+    let mut grid = sized_grid(3, 300);
+    grid.insert(
+        1,
+        SweepCell {
+            config: SimConfig::default().with_pipeline_depth(2),
+            ..grid[0].clone()
+        },
+    );
+    let (addr, handle) = start(grid.clone(), quick_config());
+    let reports: Vec<pp_serve::WorkerReport> = std::thread::scope(|s| {
+        let workers: Vec<_> = ["honest-a", "honest-b"]
+            .into_iter()
+            .map(|name| s.spawn(|| honest_worker(&addr, &grid, name)))
+            .collect();
+        workers
+            .into_iter()
+            .map(|w| w.join().expect("worker thread"))
+            .collect()
+    });
+    let summary = handle.join().expect("daemon thread");
+
+    assert_eq!(summary.snapshot.failed, 1, "{}", summary.summary());
+    assert_eq!(summary.snapshot.requeued, 0, "a reported failure is final");
+    assert_eq!(summary.snapshot.complete, 3, "{}", summary.summary());
+    let failed: usize = reports.iter().map(|r| r.failed).sum();
+    assert_eq!(
+        failed, 1,
+        "the failing cell was simulated once: {reports:?}"
+    );
+
+    let local = SweepEngine::new().with_workers(1).run(&grid);
+    assert_eq!(local.errors.len(), 1, "{}", local.summary());
+    assert_eq!(summary.errors.len(), 1);
+    assert_eq!(summary.errors[0].to_string(), local.errors[0].to_string());
 }

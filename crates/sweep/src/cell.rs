@@ -4,6 +4,8 @@
 use pp_core::{SimConfig, SimStats, Simulator};
 use pp_workloads::Workload;
 
+use crate::error::CellErrorKind;
+
 /// The workload-scale multiplier from the `PP_SCALE` environment
 /// variable (default 1.0). Benches and CI set e.g. `PP_SCALE=0.05` for
 /// quick runs; the scale a cell actually ran at is part of its cache
@@ -111,18 +113,18 @@ impl SweepCell {
         crate::fingerprint::fingerprint_hex(self.key_material().as_bytes())
     }
 
-    /// Simulate the cell. Does **not** interpret the result — callers
-    /// (the engine) decide what a `hit_cycle_limit` run means.
+    /// Simulate the cell and classify the outcome — the one classifier,
+    /// shared by the local engine and the served worker.
     ///
     /// Builds and runs under [`pp_core::run_with_flight_dump`], so a
     /// panic anywhere in the cell — a configuration `Simulator::new`
     /// rejects, a sanitizer violation, a commit-check divergence, an
-    /// internal bug — is `Err` with the panic text followed by the last
-    /// [`pp_core::DEFAULT_FLIGHT_DEPTH`] cycles of machine history (the
-    /// recorder is byte-invisible to the stats, pinned by the golden
-    /// invisibility tests). The caller's thread never unwinds.
-    pub fn run(&self) -> Result<SimStats, String> {
-        pp_core::run_with_flight_dump(
+    /// internal bug — is [`CellErrorKind::Panic`] with the panic text and
+    /// the last [`pp_core::DEFAULT_FLIGHT_DEPTH`] cycles of machine
+    /// history (byte-invisible to the stats). A run stopped at
+    /// `max_cycles` is [`CellErrorKind::CycleLimit`].
+    pub fn run(&self) -> Result<SimStats, CellErrorKind> {
+        let stats = pp_core::run_with_flight_dump(
             || {
                 let program = match self.seed {
                     None => self.workload.build(self.scale),
@@ -132,6 +134,13 @@ impl SweepCell {
             },
             Simulator::run,
         )
+        .map_err(CellErrorKind::Panic)?;
+        if stats.hit_cycle_limit {
+            return Err(CellErrorKind::CycleLimit {
+                max_cycles: self.config.max_cycles,
+            });
+        }
+        Ok(stats)
     }
 }
 

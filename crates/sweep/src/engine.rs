@@ -134,21 +134,19 @@ impl SweepEngine {
         let started = Instant::now();
         let registry = Mutex::new(registry);
         let workers = self.effective_workers();
-        let outcomes = parallel_map(pending.len(), workers, |j| -> Result<CellResult, String> {
+        let outcomes = parallel_map(pending.len(), workers, |j| -> Result<_, CellErrorKind> {
             let i = pending[j];
             let cell = &cells[i];
             let t0 = Instant::now();
             let stats = cell.run()?;
             let wall = t0.elapsed();
-            if !stats.hit_cycle_limit {
-                if let Some(store) = &store {
-                    if let Err(e) = store.save(cell, &stats) {
-                        eprintln!(
-                            "[sweep] warning: could not cache cell {} ({}): {e}",
-                            i,
-                            cell.label()
-                        );
-                    }
+            if let Some(store) = &store {
+                if let Err(e) = store.save(cell, &stats) {
+                    eprintln!(
+                        "[sweep] warning: could not cache cell {} ({}): {e}",
+                        i,
+                        cell.label()
+                    );
                 }
             }
             let result = CellResult {
@@ -160,12 +158,10 @@ impl SweepEngine {
             };
             {
                 let mut reg = registry.lock().expect("registry lock");
-                if !result.stats.hit_cycle_limit {
-                    reg.inc(c_simulated, 1);
-                    reg.observe(h_wall, wall.as_micros() as u64);
-                    if let Some(kips) = result.kips() {
-                        reg.observe(h_kips, kips as u64);
-                    }
+                reg.inc(c_simulated, 1);
+                reg.observe(h_wall, wall.as_micros() as u64);
+                if let Some(kips) = result.kips() {
+                    reg.observe(h_kips, kips as u64);
                 }
             }
             let done = finished.fetch_add(1, Ordering::SeqCst) + 1;
@@ -187,23 +183,13 @@ impl SweepEngine {
 
         let mut registry = registry.into_inner().expect("registry lock");
         for (&i, outcome) in pending.iter().zip(outcomes) {
-            let kind = match outcome {
-                Ok(result) if !result.stats.hit_cycle_limit => {
-                    results[i] = Some(result);
-                    continue;
+            match outcome {
+                Ok(result) => results[i] = Some(result),
+                Err(kind) => {
+                    registry.inc(c_failed, 1);
+                    errors.push(CellError::new(i, &cells[i], kind));
                 }
-                Ok(result) => CellErrorKind::CycleLimit {
-                    max_cycles: result.stats.cycles,
-                },
-                Err(message) => CellErrorKind::Panic(message),
-            };
-            registry.inc(c_failed, 1);
-            errors.push(CellError {
-                index: i,
-                workload: cells[i].label(),
-                config: cells[i].config_summary(),
-                kind,
-            });
+            }
         }
 
         if self.progress {

@@ -1,5 +1,7 @@
 //! Typed per-cell failures.
 
+use crate::cell::SweepCell;
+
 /// Why a cell failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CellErrorKind {
@@ -27,6 +29,18 @@ pub struct CellError {
     pub config: String,
     /// What went wrong.
     pub kind: CellErrorKind,
+}
+
+impl CellError {
+    /// Grid cell `index`'s failure, as a local or served sweep reports it.
+    pub fn new(index: usize, cell: &SweepCell, kind: CellErrorKind) -> Self {
+        CellError {
+            index,
+            workload: cell.label(),
+            config: cell.config_summary(),
+            kind,
+        }
+    }
 }
 
 impl std::fmt::Display for CellError {
