@@ -623,7 +623,7 @@ impl Simulator {
             }
             if let Some(pos) = e.branch {
                 let b = &self.branches[usize::from(pos)];
-                if b.diverged && !b.resolved {
+                if b.taken_path.is_some() && !b.resolved {
                     divergences += 1;
                 }
             }
@@ -644,7 +644,7 @@ impl Simulator {
             }
             if inst
                 .branch
-                .is_some_and(|pos| self.branches[usize::from(pos)].diverged)
+                .is_some_and(|pos| self.branches[usize::from(pos)].taken_path.is_some())
             {
                 divergences += 1;
             }
@@ -706,7 +706,7 @@ impl Simulator {
             // Position-ownership already enforces the unique live owner;
             // here: that owner must be a diverged, unresolved fork.
             let owns = |branch: Option<u8>| branch.map(usize::from) == Some(pos);
-            let owner_ok = (b.diverged && !b.resolved)
+            let owner_ok = (b.taken_path.is_some() && !b.resolved)
                 && (self
                     .window
                     .debug_iter()

@@ -14,8 +14,15 @@
 //! Lint rule L1: this module holds the hot loop, so the panic family is
 //! denied across all of it (the child `sanitize` module included). Each
 //! remaining site is a documented protocol invariant and carries its own
-//! `#[expect]` with the reason. A new panic site, or an `#[expect]` whose
-//! site went away, fails `cargo clippy -- -D warnings`.
+//! `#[expect]` with the reason (25 of them). A new panic site, or an
+//! `#[expect]` whose site went away, fails `cargo clippy -- -D warnings`.
+//! Where a type or a fallible call can rule a state out, it does so
+//! instead of an `#[expect]`: a component the config selects is one enum
+//! variant (as [`Predictor`] is), built once in [`Simulator::new`] and
+//! matched where it is used; an allocation that can fail (a CTX
+//! position, a path slot for a fork, a physical register at rename) is
+//! its own check; and a fact one field already implies is not stored
+//! twice (a branch diverged iff its record holds a `taken_path`).
 
 #![deny(
     clippy::unwrap_used,
@@ -212,15 +219,14 @@ struct BranchRecord {
     fallthrough: usize,
     /// Taken-target PC (conditional branches).
     taken_target: usize,
-    /// SEE diverged on this branch.
-    diverged: bool,
     /// The confidence estimate was low (even if divergence was not
     /// possible).
     conf_low: bool,
     /// Speculative global history at prediction time (for PHT/JRS update).
     ghr_at_predict: u64,
-    /// Divergence only: the path created for the taken successor (the
-    /// fetching path itself continues as the not-taken successor).
+    /// The path created for the taken successor when SEE diverged on
+    /// this branch (the fetching path itself continues as the not-taken
+    /// successor); `None` exactly when it did not diverge.
     taken_path: Option<PathId>,
     /// Return-address stack after the branch's own fetch effect (recovery
     /// state).
@@ -1083,7 +1089,7 @@ impl Simulator {
             b.outcome != Some(b.predicted_taken)
         };
         b.mispredicted = mispredicted;
-        let (diverged, conf_low) = (b.diverged, b.conf_low);
+        let (diverged, conf_low) = (b.taken_path.is_some(), b.conf_low);
         let wrong_dir = if diverged {
             #[expect(clippy::expect_used, reason = "writeback set the outcome first")]
             let outcome = b.outcome.expect("diverged branch outcome");
@@ -1103,9 +1109,7 @@ impl Simulator {
             // Both successors executed; kill the wrong one, keep the other.
             self.live_divergences -= 1;
             self.kill_subtree(pos, wrong_dir);
-            if self.merge_pred.is_some() {
-                self.finish_merge(pos);
-            }
+            self.finish_merge(pos);
         } else if mispredicted {
             self.stats.recoveries += 1;
             // Stall classifier: the squash may drain the machine; charge
@@ -1214,7 +1218,7 @@ impl Simulator {
             // left in the slot never reads the record again.
             if let Some(pos) = k.branch.map(usize::from) {
                 let b = &mut branches[pos];
-                if !b.resolved && b.diverged {
+                if !b.resolved && b.taken_path.is_some() {
                     *live_divergences -= 1;
                 }
                 // A killed fork's reconvergence hypothesis dies with it,
@@ -1236,7 +1240,7 @@ impl Simulator {
                 let b = &mut branches[pos];
                 b.merge = None;
                 positions.free(pos);
-                if b.diverged {
+                if b.taken_path.is_some() {
                     *live_divergences -= 1;
                 }
             }
@@ -1273,11 +1277,12 @@ impl Simulator {
     /// the parked arm was the correct one, it is now the only holder of
     /// the merge point and picks the shared suffix back up).
     fn finish_merge(&mut self, pos: usize) {
+        let Some(mp) = &mut self.merge_pred else {
+            return;
+        };
         let Some(rec) = self.branches[pos].merge.take() else {
             return;
         };
-        #[expect(clippy::expect_used, reason = "merge records imply a predictor")]
-        let mp = self.merge_pred.as_mut().expect("records imply a predictor");
         if !rec.parked {
             // Resolution beat reconvergence: the hypothesis was wrong, or
             // right but too distant to pay for tracking. Either way the
@@ -1289,12 +1294,9 @@ impl Simulator {
         // Reconvergence was already confirmed (and trained) at park time.
         let survivor = self
             .paths
-            .iter()
-            .find(|(_, p)| p.merged_at == Some(pos))
-            .map(|(id, _)| id);
-        if let Some(id) = survivor {
-            #[expect(clippy::expect_used, reason = "found by the live-path scan above")]
-            let p = self.paths.get_mut(id).expect("found above");
+            .iter_mut()
+            .find(|(_, p)| p.merged_at == Some(pos));
+        if let Some((_, p)) = survivor {
             p.fetching = true;
             p.merged_at = None;
             self.merge_stats.resumes += 1;
@@ -1308,9 +1310,19 @@ impl Simulator {
     /// opposite-direction arm parks, so merged instructions are fetched
     /// once instead of twice. Returns `true` if the path parked.
     fn merge_check(&mut self, pid: PathId, pc: usize) -> bool {
-        let tag = live(&self.paths, pid).tag;
-        for pos in 0..self.branches.len() {
-            let Some(rec) = &mut self.branches[pos].merge else {
+        let Simulator {
+            merge_pred: Some(mp),
+            branches,
+            paths,
+            merge_stats,
+            ..
+        } = self
+        else {
+            return false;
+        };
+        let tag = live(paths, pid).tag;
+        for (pos, b) in branches.iter_mut().enumerate() {
+            let Some(rec) = &mut b.merge else {
                 continue;
             };
             if rec.merge_pc != pc {
@@ -1330,16 +1342,11 @@ impl Simulator {
                     // in flight: confirmed reconvergence, train now (a
                     // wrong-side resolution later would discard the
                     // record before `finish_merge` could).
-                    let (bpc, mpc) = (rec.branch_pc, rec.merge_pc);
-                    #[expect(clippy::expect_used, reason = "merge records imply a predictor")]
-                    self.merge_pred
-                        .as_mut()
-                        .expect("records imply a predictor")
-                        .observe(bpc, mpc, true);
-                    let p = live_mut(&mut self.paths, pid);
+                    mp.observe(rec.branch_pc, rec.merge_pc, true);
+                    let p = live_mut(paths, pid);
                     p.fetching = false;
                     p.merged_at = Some(pos);
-                    self.merge_stats.parks += 1;
+                    merge_stats.parks += 1;
                     return true;
                 }
                 Some(_) => {} // a pair already merged at this fork
@@ -1441,14 +1448,13 @@ impl Simulator {
                             e.seq, e.pc
                         );
                     }
-                    if check == LoadCheck::Block {
-                        if issue_block.is_none() {
-                            *issue_block = Some((e.seq, IssueBlock::StoreBuffer));
-                        }
-                        return IssueOutcome::Keep;
-                    }
-                    claim_fu_or_keep!();
                     let (value, forwarded) = match check {
+                        LoadCheck::Block => {
+                            if issue_block.is_none() {
+                                *issue_block = Some((e.seq, IssueBlock::StoreBuffer));
+                            }
+                            return IssueOutcome::Keep;
+                        }
                         // Forwarded data must look exactly like a memory
                         // round-trip: a byte store truncates on write and
                         // a byte load zero-extends, so the buffered word
@@ -1463,9 +1469,8 @@ impl Simulator {
                             (v, true)
                         }
                         LoadCheck::Memory => (memory.read(addr, width), false),
-                        #[expect(clippy::unreachable, reason = "Block returned Keep above")]
-                        LoadCheck::Block => unreachable!(),
                     };
+                    claim_fu_or_keep!();
                     *e.mem = Some(MemInfo {
                         addr: Some(addr),
                         width,
@@ -1593,9 +1598,15 @@ impl Simulator {
             stats.dispatch_stall_window_full += 1;
             return false;
         }
-        if inst.op.dest().is_some() && regfile.free_count() == 0 {
-            return false;
-        }
+        // A destination needs a free physical register; without one the
+        // instruction stays in its latch.
+        let new_dest = match inst.op.dest() {
+            None => None,
+            Some(logical) => match regfile.allocate() {
+                Some(new) => Some((logical, new)),
+                None => return false,
+            },
+        };
 
         let seq = *seq_next;
         *seq_next += 1;
@@ -1617,13 +1628,9 @@ impl Simulator {
             sources[1].map(|r| regmap.lookup(r)),
         ];
 
-        // Rename the destination: allocate a new physical register and
-        // remember the old mapping for recycling at commit.
-        let dest = inst.op.dest().map(|logical| {
-            #[expect(clippy::expect_used, reason = "free_count checked before dispatch")]
-            let new = regfile
-                .allocate()
-                .expect("free register checked before dispatch");
+        // Rename the destination to its new physical register and remember
+        // the old mapping for recycling at commit.
+        let dest = new_dest.map(|(logical, new)| {
             // Leftover wakeup registrations from the register's previous
             // life are dead weight; drop them with the reallocation.
             waiters[new.0 as usize].clear();
@@ -1647,10 +1654,8 @@ impl Simulator {
         // successor path — the second RegMap copy of §3.2.5.
         if let Some(pos) = inst.branch {
             let b = &mut branches[usize::from(pos)];
-            if b.diverged {
+            if let Some(taken) = b.taken_path {
                 let map = regmap.clone();
-                #[expect(clippy::expect_used, reason = "forked before marked diverged")]
-                let taken = b.taken_path.expect("diverged branch has a taken path");
                 #[expect(clippy::expect_used, reason = "taken path lives until fork resolves")]
                 let taken_path = paths
                     .get_mut(taken)
@@ -1844,7 +1849,7 @@ impl Simulator {
             let pc = path.pc;
             // CTX merge action: park at a predicted reconvergence point
             // the opposite arm already crossed.
-            if self.merge_pred.is_some() && self.merge_check(pid, pc) {
+            if self.merge_check(pid, pc) {
                 break;
             }
             let Some(op) = self.program.fetch(pc) else {
@@ -1867,7 +1872,15 @@ impl Simulator {
                     }
                 }
                 Op::Ret | Op::Jr { .. } => {
-                    if !self.fetch_indirect(pid, pc, op) {
+                    // `ret` predicts through the path's RAS, `jr` through
+                    // the BTB.
+                    let ras = &live(&self.paths, pid).ras;
+                    let prediction = if op == Op::Ret {
+                        ras.pop()
+                    } else {
+                        (self.btb.predict(pc), ras.clone())
+                    };
+                    if !self.fetch_indirect(pid, pc, op, prediction) {
                         self.stats.fetch_stall_no_ctx += 1;
                         break;
                     }
@@ -1902,9 +1915,7 @@ impl Simulator {
     /// diverge. Returns `None` if no CTX position was available, otherwise
     /// `Some(stop_fetching_this_path_this_cycle)`.
     fn fetch_cond_branch(&mut self, pid: PathId, pc: usize, op: Op, target: usize) -> Option<bool> {
-        if self.positions.is_full() {
-            return None;
-        }
+        let pos = self.positions.allocate()?;
 
         let path = live(&self.paths, pid);
         let ghr = path.ghr;
@@ -1968,14 +1979,34 @@ impl Simulator {
             ExecMode::See => true,
             ExecMode::DualPath => self.live_divergences == 0,
         };
-        let diverge = conf_low && mode_allows && !self.paths.is_full();
-
-        #[expect(clippy::expect_used, reason = "positions.is_full() returned above")]
-        let pos = self.positions.allocate().expect("checked not full");
+        // A fork needs a path slot for its taken successor: allocating
+        // that slot is what decides whether this branch diverges.
+        let taken_path = if conf_low && mode_allows {
+            let taken_tag = parent_tag.with_position(pos, true);
+            let taken = PathCtx {
+                tag: taken_tag,
+                pc: target,
+                fetching: true,
+                ghr: push_history(ghr, true),
+                ras: parent_ras.clone(),
+                regmap: None, // set when the branch renames (§3.2.5)
+                on_correct: was_on_correct && correct_outcome == Some(true),
+                oracle_idx: oracle_idx + 1,
+                birth: self.birth_next,
+                merged_at: None,
+            };
+            let taken_pid = self.paths.allocate(taken);
+            if let Some(id) = taken_pid {
+                self.birth_next += 1;
+                self.path_tags.insert(id.index(), &taken_tag);
+            }
+            taken_pid
+        } else {
+            None
+        };
 
         let mut merge = None;
-        let mut taken_path = None;
-        if diverge {
+        if taken_path.is_some() {
             self.stats.divergences += 1;
             self.live_divergences += 1;
 
@@ -2006,27 +2037,8 @@ impl Simulator {
                 }
             }
 
-            // New slot for the taken successor…
-            let taken_tag = parent_tag.with_position(pos, true);
-            let taken = PathCtx {
-                tag: taken_tag,
-                pc: target,
-                fetching: true,
-                ghr: push_history(ghr, true),
-                ras: parent_ras.clone(),
-                regmap: None, // set when the branch renames (§3.2.5)
-                on_correct: was_on_correct && correct_outcome == Some(true),
-                oracle_idx: oracle_idx + 1,
-                birth: self.birth_next,
-                merged_at: None,
-            };
-            self.birth_next += 1;
-            #[expect(clippy::expect_used, reason = "diverge requires a free path slot")]
-            let taken_pid = self.paths.allocate(taken).expect("checked not full");
-            self.path_tags.insert(taken_pid.index(), &taken_tag);
-            taken_path = Some(taken_pid);
-
-            // …while this slot continues as the not-taken successor.
+            // The taken successor has its own slot; this one continues as
+            // the not-taken successor.
             let path = live_mut(&mut self.paths, pid);
             path.tag = parent_tag.with_position(pos, false);
             path.pc = pc + 1;
@@ -2050,7 +2062,6 @@ impl Simulator {
             predicted_target: if predicted { target } else { pc + 1 },
             fallthrough: pc + 1,
             taken_target: target,
-            diverged: diverge,
             conf_low,
             ghr_at_predict: ghr,
             taken_path,
@@ -2065,30 +2076,30 @@ impl Simulator {
             mispredicted: false,
         };
         let branch_fid = self.push_fetched_with_tag(pid, pc, op, Some(pos as u8), parent_tag);
-        if diverge {
-            emit(&mut self.observer, || {
-                #[expect(clippy::expect_used, reason = "set in the block that forked it")]
-                let taken_path = taken_path.expect("divergence created a taken path");
-                PipeEvent::Diverged {
-                    cycle: self.now,
-                    branch: branch_fid,
-                    taken_path,
-                    not_taken_path: pid,
-                }
+        if let Some(taken_path) = taken_path {
+            emit(&mut self.observer, || PipeEvent::Diverged {
+                cycle: self.now,
+                branch: branch_fid,
+                taken_path,
+                not_taken_path: pid,
             });
         }
-        Some(diverge)
+        Some(taken_path.is_some())
     }
 
-    /// Fetch an indirect control transfer: `ret` predicts through the
-    /// path's RAS, `jr` through the BTB. Returns `false` if no CTX
-    /// position was available.
-    fn fetch_indirect(&mut self, pid: PathId, pc: usize, op: Op) -> bool {
-        if self.positions.is_full() {
+    /// Fetch an indirect control transfer under `prediction`: its target,
+    /// if any, and the path's return-address stack after the transfer.
+    /// Returns `false` if no CTX position was available.
+    fn fetch_indirect(
+        &mut self,
+        pid: PathId,
+        pc: usize,
+        op: Op,
+        (pred, new_ras): (Option<usize>, Ras),
+    ) -> bool {
+        let Some(pos) = self.positions.allocate() else {
             return false;
-        }
-        #[expect(clippy::expect_used, reason = "positions.is_full() returned above")]
-        let pos = self.positions.allocate().expect("checked not full");
+        };
 
         let path = live(&self.paths, pid);
         let parent_tag = path.tag;
@@ -2097,15 +2108,6 @@ impl Simulator {
         let oracle_idx = path.oracle_idx;
 
         // A missing prediction parks the path until resolution redirects.
-        let (pred, new_ras) = match op {
-            Op::Ret => {
-                let (pred, popped) = path.ras.pop();
-                (pred, popped)
-            }
-            Op::Jr { .. } => (self.btb.predict(pc), path.ras.clone()),
-            #[expect(clippy::unreachable, reason = "caller matched Ret/Jr before calling")]
-            _ => unreachable!("fetch_indirect on a non-indirect op"),
-        };
         let predicted_target = pred.unwrap_or(usize::MAX);
 
         self.branches[pos] = BranchRecord {
@@ -2114,7 +2116,6 @@ impl Simulator {
             predicted_target,
             fallthrough: pc + 1,
             taken_target: 0,
-            diverged: false,
             conf_low: false,
             ghr_at_predict: ghr,
             taken_path: None,

@@ -1083,11 +1083,12 @@ fn flight_dump_contains_the_failing_cycle() {
     );
 }
 
-/// Timing laws E1–E3, byte for byte on every workload: SEE and
+/// Timing laws E1–E4, byte for byte on every workload: SEE and
 /// dual-path under an estimator that is never diffident never diverge,
-/// so they are monopath (E1, E2); and with one path, fetch arbitration
-/// has nothing to decide (E3). The lock-step oracle checks only *what*
-/// commits; these pin *when*.
+/// so they are monopath (E1, E2); with one path, fetch arbitration has
+/// nothing to decide (E3); and under the oracle predictor the oracle
+/// estimator is never diffident either, so SEE is oracle monopath (E4).
+/// The lock-step oracle checks only *what* commits; these pin *when*.
 #[test]
 fn monopath_equivalence_laws_hold_byte_for_byte() {
     use pp_core::FetchPolicy;
@@ -1125,5 +1126,12 @@ fn monopath_equivalence_laws_hold_byte_for_byte() {
                 w.name()
             );
         }
+        let oracle = |cfg: SimConfig| run(cfg.with_predictor(PredictorKind::Oracle));
+        assert_eq!(
+            oracle(SimConfig::baseline().with_confidence(ConfidenceKind::Oracle)),
+            oracle(SimConfig::monopath_baseline()),
+            "E4 SEE/oracle on the oracle predictor on {}",
+            w.name()
+        );
     }
 }

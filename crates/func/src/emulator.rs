@@ -253,7 +253,7 @@ impl Emulator {
     /// `max_steps` instructions, or [`EmuError::PcOutOfRange`] if it runs
     /// off the text section.
     pub fn run(&mut self, max_steps: u64) -> Result<RunSummary, EmuError> {
-        self.run_inner(max_steps, None)
+        self.run_inner(max_steps, None, None)
     }
 
     /// Run until `halt`, additionally recording the correct-path
@@ -266,7 +266,7 @@ impl Emulator {
         max_steps: u64,
     ) -> Result<(RunSummary, BranchTrace), EmuError> {
         let mut trace = BranchTrace::new();
-        let summary = self.run_inner(max_steps, Some(&mut trace))?;
+        let summary = self.run_inner(max_steps, Some(&mut trace), None)?;
         Ok((summary, trace))
     }
 
@@ -279,37 +279,18 @@ impl Emulator {
         max_steps: u64,
     ) -> Result<(RunSummary, crate::profile::Profile), EmuError> {
         let mut profile = crate::profile::Profile::new(&self.program);
-        let mut s = RunSummary::default();
-        while !self.halted {
-            if s.instructions >= max_steps {
-                return Err(EmuError::StepLimitExceeded { limit: max_steps });
-            }
-            let before_pc = self.pc;
-            let ev = self.step()?;
-            profile.record(ev.pc);
-            s.instructions += 1;
-            match ev.op {
-                Op::Branch { .. } => {
-                    s.cond_branches += 1;
-                    let taken = self.pc != before_pc + 1;
-                    if taken {
-                        s.taken_branches += 1;
-                    }
-                    profile.record_branch(ev.pc, taken);
-                }
-                Op::Load { .. } => s.loads += 1,
-                Op::Store { .. } => s.stores += 1,
-                Op::Call { .. } => s.calls += 1,
-                _ => {}
-            }
-        }
-        Ok((s, profile))
+        let summary = self.run_inner(max_steps, None, Some(&mut profile))?;
+        Ok((summary, profile))
     }
 
+    /// The one step loop behind every `run*` entry point: `trace` receives
+    /// each conditional-branch outcome, `profile` each executed PC and
+    /// branch outcome.
     fn run_inner(
         &mut self,
         max_steps: u64,
         mut trace: Option<&mut BranchTrace>,
+        mut profile: Option<&mut crate::profile::Profile>,
     ) -> Result<RunSummary, EmuError> {
         let mut s = RunSummary::default();
         while !self.halted {
@@ -318,6 +299,9 @@ impl Emulator {
             }
             let before_pc = self.pc;
             let ev = self.step()?;
+            if let Some(p) = profile.as_deref_mut() {
+                p.record(ev.pc);
+            }
             s.instructions += 1;
             match ev.op {
                 Op::Branch { .. } => {
@@ -329,6 +313,9 @@ impl Emulator {
                     }
                     if let Some(t) = trace.as_deref_mut() {
                         t.push(ev.pc, taken);
+                    }
+                    if let Some(p) = profile.as_deref_mut() {
+                        p.record_branch(ev.pc, taken);
                     }
                 }
                 Op::Load { .. } => s.loads += 1,
