@@ -23,16 +23,18 @@
 //!   reference only allocator-live positions (no orphan descendants
 //!   survive a kill).
 //! - `issue-candidate` — the window's candidate bitmap is exactly
-//!   {live ∧ waiting ∧ all sources ready}.
+//!   {live ∧ waiting ∧ all sources ready ∧ not parked}.
 //! - `wakeup-list` — every live waiting entry with a not-ready source is
 //!   registered on that register's waiter list, and every registration
 //!   that maps to a live waiting entry names one of its not-ready sources.
 //! - `completion-ring` — live issued entries appear exactly once in the
 //!   ring, in the bucket for their (future, non-aliasing) writeback
 //!   cycle; no live non-issued entry appears at all.
-//! - `store-buffer` — entries are seq-ordered, the live count matches,
-//!   live entries correspond one-to-one with live window stores, and
-//!   their (eager) tags hold only live positions.
+//! - `store-buffer` — entries are seq-ordered, correspond one-to-one
+//!   with live window stores (no dead entry stays behind), and their
+//!   (eager) tags hold only live positions; every parked load is a live
+//!   waiting load whose naive store-buffer check still returns `Block`
+//!   on the store it is parked on (a wakeup was not lost).
 //! - `regfile-conservation` — every physical register is on the free list
 //!   exactly-or referenced (path register maps, live checkpoints, live
 //!   entries' new/old destinations): no leaks, no double-frees.
@@ -59,6 +61,8 @@ use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 
 use pp_isa::Op;
+
+use crate::storebuf::LoadCheck;
 
 use super::Simulator;
 use crate::regfile::PhysReg;
@@ -226,18 +230,25 @@ impl Simulator {
     /// and the completion ring against the entries they mirror.
     fn sanitize_window(&self, out: &mut Vec<Violation>) {
         let mut live: HashMap<Seq, &WinEntry> = HashMap::new();
+        let parked: BTreeSet<Seq> = self.window.parked.iter().map(|&(l, _)| l).collect();
 
         for (e, candidate) in self.window.debug_iter() {
             let expect = !e.killed
                 && e.state == EntryState::Waiting
-                && e.srcs.iter().flatten().all(|&p| self.regfile.is_ready(p));
+                && e.srcs.iter().flatten().all(|&p| self.regfile.is_ready(p))
+                && !parked.contains(&e.seq);
             if candidate != expect {
                 self.report(
                     out,
                     "issue-candidate",
                     format!(
-                        "seq {} pc {} state {:?} killed {}: candidate bit {candidate}, derived {expect}",
-                        e.seq, e.pc, e.state, e.killed
+                        "seq {} pc {} state {:?} killed {} parked {}: candidate bit \
+                         {candidate}, derived {expect}",
+                        e.seq,
+                        e.pc,
+                        e.state,
+                        e.killed,
+                        parked.contains(&e.seq)
                     ),
                 );
             }
@@ -491,12 +502,12 @@ impl Simulator {
         }
     }
 
-    /// Store buffer: program ordering, live accounting, one-to-one
-    /// correspondence with live window stores, and eager-tag liveness.
+    /// Store buffer: program ordering, one-to-one correspondence with
+    /// live window stores, eager-tag liveness, and the parked loads'
+    /// blockers.
     fn sanitize_storebuf(&self, out: &mut Vec<Violation>) {
         let mut prev: Option<Seq> = None;
-        let mut live_count = 0usize;
-        let mut sb_live: BTreeSet<Seq> = BTreeSet::new();
+        let mut buffered: BTreeSet<Seq> = BTreeSet::new();
         for e in self.sb.debug_iter() {
             if let Some(p) = prev {
                 if e.seq <= p {
@@ -508,11 +519,7 @@ impl Simulator {
                 }
             }
             prev = Some(e.seq);
-            if e.is_killed() {
-                continue;
-            }
-            live_count += 1;
-            sb_live.insert(e.seq);
+            buffered.insert(e.seq);
             let mut mask = e.ctx.valid_mask();
             while mask != 0 {
                 let pos = mask.trailing_zeros() as usize;
@@ -522,22 +529,12 @@ impl Simulator {
                         out,
                         "store-buffer",
                         format!(
-                            "live store seq {} eager tag {} holds dead position {pos}",
+                            "store seq {} eager tag {} holds dead position {pos}",
                             e.seq, e.ctx
                         ),
                     );
                 }
             }
-        }
-        if live_count != self.sb.len() {
-            self.report(
-                out,
-                "store-buffer",
-                format!(
-                    "live counter {} but {live_count} un-killed entries",
-                    self.sb.len()
-                ),
-            );
         }
         let win_stores: BTreeSet<Seq> = self
             .window
@@ -545,12 +542,76 @@ impl Simulator {
             .filter(|(e, _)| !e.killed && matches!(e.op, Op::Store { .. }))
             .map(|(e, _)| e.seq)
             .collect();
-        if sb_live != win_stores {
+        for dead in buffered.difference(&win_stores) {
             self.report(
                 out,
                 "store-buffer",
-                format!("live entries {sb_live:?} disagree with live window stores {win_stores:?}"),
+                format!("dead entry: buffered seq {dead} is not a live window store"),
             );
+        }
+        for lost in win_stores.difference(&buffered) {
+            self.report(
+                out,
+                "store-buffer",
+                format!("live window store seq {lost} has no buffer entry"),
+            );
+        }
+
+        // Parked loads: each must still be blocked by its recorded store,
+        // or the event that should have woken it was lost.
+        if self.window.parked.is_empty() {
+            return;
+        }
+        let entries: HashMap<Seq, &WinEntry> = self
+            .window
+            .debug_iter()
+            .filter(|(e, _)| !e.killed)
+            .map(|(e, _)| (e.seq, e))
+            .collect();
+        for &(load, store) in &self.window.parked {
+            let Some(e) = entries.get(&load) else {
+                self.report(
+                    out,
+                    "store-buffer",
+                    format!("parked seq {load} is not a live window entry"),
+                );
+                continue;
+            };
+            let ready = e.srcs.iter().flatten().all(|&p| self.regfile.is_ready(p));
+            let Op::Load { offset, width, .. } = e.op else {
+                self.report(
+                    out,
+                    "store-buffer",
+                    format!("parked seq {load} pc {} is not a load", e.pc),
+                );
+                continue;
+            };
+            if e.state != EntryState::Waiting || !ready {
+                self.report(
+                    out,
+                    "store-buffer",
+                    format!(
+                        "parked load seq {load} is {:?} with operands ready {ready}",
+                        e.state
+                    ),
+                );
+                continue;
+            }
+            let base = e.srcs[0].map_or(0, |p| self.regfile.read(p));
+            let addr = (base as u64).wrapping_add(offset as u64);
+            let scrubbed = self.positions.scrub(e.ctx, e.born);
+            let check = self.sb.check_load_naive(load, &scrubbed, addr, width);
+            if check != LoadCheck::Block(store) {
+                self.report(
+                    out,
+                    "store-buffer",
+                    format!(
+                        "lost wakeup: load seq {load} pc {} parked on store seq {store}, \
+                         but the buffer now answers {check:?}",
+                        e.pc
+                    ),
+                );
+            }
         }
     }
 
@@ -951,6 +1012,59 @@ mod tests {
             violations
                 .iter()
                 .any(|v| v.invariant == "merge-park" && v.detail.contains("no record")),
+            "{violations:?}"
+        );
+    }
+
+    /// Advance until a load is parked on a store: `(load seq, store seq)`.
+    fn run_until_parked(sim: &mut Simulator) -> (Seq, Seq) {
+        for _ in 0..1000 {
+            if let Some(&pair) = sim.window.parked.first() {
+                return pair;
+            }
+            sim.cycle();
+        }
+        panic!("no load was ever parked");
+    }
+
+    #[test]
+    fn lost_wakeup_is_reported() {
+        let p = loopy_program();
+        let mut sim = Simulator::new(&p, SimConfig::baseline());
+        let (load, store) = run_until_parked(&mut sim);
+        let store_buffer = |sim: &Simulator| {
+            sim.sanitize()
+                .into_iter()
+                .filter(|v| v.invariant == "store-buffer")
+                .collect::<Vec<_>>()
+        };
+        assert!(store_buffer(&sim).is_empty(), "{:?}", store_buffer(&sim));
+        // The store computes a far address behind the window's back: the
+        // buffer no longer blocks the load, yet it is still parked.
+        sim.sb.set_addr_data(store, 0x10_0000, 7);
+        let violations = store_buffer(&sim);
+        assert!(
+            violations.iter().any(|v| v.detail.contains("lost wakeup")
+                && v.detail.contains(&format!("load seq {load}"))),
+            "{violations:?}"
+        );
+    }
+
+    #[test]
+    fn dead_store_buffer_entry_is_reported() {
+        let p = loopy_program();
+        let mut sim = Simulator::new(&p, SimConfig::baseline());
+        run_until_window_occupied(&mut sim);
+        // A store no window entry owns: what a kill that left its victim
+        // in the buffer would look like.
+        let dead = sim.seq_next + 100;
+        sim.sb
+            .insert(dead, pp_ctx::CtxTag::root(), pp_isa::Width::Word);
+        let violations = sim.sanitize();
+        assert!(
+            violations.iter().any(|v| v.invariant == "store-buffer"
+                && v.detail
+                    .contains(&format!("dead entry: buffered seq {dead}"))),
             "{violations:?}"
         );
     }

@@ -158,7 +158,8 @@ pub struct Simulator {
     /// [`StallCause::SquashRecovery`] rather than fetch starvation.
     squash_refill_until: u64,
     /// Stall-classifier note from the issue stage: the oldest candidate a
-    /// structural resource refused this cycle, and which resource.
+    /// structural resource refused this cycle (a load left parked on a
+    /// store counts as refused by the store buffer), and which resource.
     /// Consulted by the *next* cycle's commit triage (commit runs first).
     issue_block: Option<(Seq, IssueBlock)>,
     /// This cycle's commit outcome for its [`CycleSample`]: slots retired
@@ -1393,6 +1394,11 @@ impl Simulator {
         // the *first* refusal) has already happened. With the sanitizer
         // armed every candidate still takes the full path, so the
         // per-issue store-buffer cross-checks all run.
+        //
+        // A load the store buffer blocks is parked on the store that
+        // blocks it and is not offered again until that store issues,
+        // commits or is killed: until then every re-check would return
+        // the same `Block`.
         let mut sat = 0u8;
 
         window.for_each_issuable(|e| {
@@ -1449,11 +1455,11 @@ impl Simulator {
                         );
                     }
                     let (value, forwarded) = match check {
-                        LoadCheck::Block => {
+                        LoadCheck::Block(store) => {
                             if issue_block.is_none() {
                                 *issue_block = Some((e.seq, IssueBlock::StoreBuffer));
                             }
-                            return IssueOutcome::Keep;
+                            return IssueOutcome::Park(store);
                         }
                         // Forwarded data must look exactly like a memory
                         // round-trip: a byte store truncates on write and
@@ -1554,6 +1560,15 @@ impl Simulator {
             });
             IssueOutcome::Issued
         });
+
+        // A load still parked when the scan ends was refused by the store
+        // buffer this cycle, whether the scan parked it or skipped it: had
+        // it been offered, it would have been blocked again.
+        if let Some(load) = window.oldest_parked() {
+            if issue_block.is_none_or(|(seq, _)| load < seq) {
+                *issue_block = Some((load, IssueBlock::StoreBuffer));
+            }
+        }
     }
 
     // ------------------------------------------------------------------

@@ -4,13 +4,23 @@
 //! and the result is passed to the D-cache. Forwarding to dependent loads
 //! is restricted to loads on the same path or a descendant path of the
 //! store, decided with the CTX hierarchy comparator.
+//!
+//! The buffer holds only live stores: the resolution kill removes the
+//! entries it matches (kills are per-resolution events), so a load probe,
+//! the commit pop and the commit-time invalidation broadcast never step
+//! over a dead entry. A load the buffer blocks learns *which* store blocks
+//! it ([`LoadCheck::Block`]), so the issue stage can park the load on
+//! that store instead of probing again every cycle.
+
+use std::collections::VecDeque;
 
 use pp_ctx::{CtxTag, ResolutionKill};
 use pp_isa::Width;
 
 use crate::window::Seq;
 
-/// One buffered store.
+/// One buffered store. Every entry in the buffer is live: a killed store
+/// leaves the buffer with the resolution kill that squashed it.
 #[derive(Debug, Clone)]
 pub struct SbEntry {
     /// Program-order sequence of the store instruction.
@@ -23,22 +33,16 @@ pub struct SbEntry {
     pub data: Option<i64>,
     /// Access width.
     pub width: Width,
-    killed: bool,
-}
-
-impl SbEntry {
-    /// Squashed by a resolution kill; awaiting lazy reclamation at the head.
-    pub fn is_killed(&self) -> bool {
-        self.killed
-    }
 }
 
 /// Outcome of a load's store-buffer lookup.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LoadCheck {
-    /// An older same-path store's address (or overlapping data) is not
-    /// available yet — the load must wait.
-    Block,
+    /// The load must wait on the store with this sequence number: the
+    /// oldest older same-path store whose address (or data) is not
+    /// available yet, or that partly overlaps the load. Until that store
+    /// issues, commits or is killed, the answer stays `Block` on it.
+    Block(Seq),
     /// Forward this value from the youngest older same-path store with an
     /// exactly matching address and width.
     Forward(i64),
@@ -46,7 +50,7 @@ pub enum LoadCheck {
     Memory,
 }
 
-/// The store buffer: entries in program order.
+/// The store buffer: live entries in program order.
 ///
 /// Tags here are **eager** — they receive every commit-time invalidation
 /// broadcast — so forwarding can compare a (possibly stale-bitted) lazy
@@ -54,10 +58,15 @@ pub enum LoadCheck {
 /// never coincide with a live store bit, because the free that staled it
 /// either broadcast-cleared the position here too or killed every store
 /// holding it.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct StoreBuffer {
-    entries: std::collections::VecDeque<SbEntry>,
-    live: usize,
+    entries: VecDeque<SbEntry>,
+}
+
+impl Default for StoreBuffer {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 fn ranges_overlap(a: u64, aw: Width, b: u64, bw: Width) -> bool {
@@ -65,20 +74,44 @@ fn ranges_overlap(a: u64, aw: Width, b: u64, bw: Width) -> bool {
     a < b_end && b < a_end
 }
 
+/// The verdict of one older participating store on a load reading
+/// `[addr, addr+width)`: `Some(seq)` of the store if the load must wait
+/// on it (address or data unknown, or a partial overlap that can only
+/// drain at commit); otherwise `None`, after recording an exact match's
+/// data in `forward` (younger stores probe later and overwrite it: the
+/// youngest wins).
+fn probe(e: &SbEntry, addr: u64, width: Width, forward: &mut Option<i64>) -> Option<Seq> {
+    match (e.addr, e.data) {
+        (Some(saddr), Some(d)) if saddr == addr && e.width == width => {
+            *forward = Some(d);
+            None
+        }
+        (Some(saddr), _) if !ranges_overlap(saddr, e.width, addr, width) => None,
+        _ => Some(e.seq),
+    }
+}
+
 impl StoreBuffer {
-    /// Empty buffer.
+    /// Empty buffer, allocated up front with room for 64 stores: more
+    /// than the default-scale workloads hold live at once (49 at most),
+    /// so a run does not grow it. Growing it during the run instead left
+    /// perfbench's `mono` set-up in the slow state of glibc's heap
+    /// trimming (~9,200 against ~1,060 minor faults per run; ROADMAP
+    /// item 2).
     pub fn new() -> Self {
-        Self::default()
+        StoreBuffer {
+            entries: VecDeque::with_capacity(64),
+        }
     }
 
-    /// Live entries (diagnostics).
+    /// Buffered (live) stores.
     pub fn len(&self) -> usize {
-        self.live
+        self.entries.len()
     }
 
-    /// `true` when no live entry remains.
+    /// `true` when no store is buffered.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.entries.is_empty()
     }
 
     /// Allocate an entry at dispatch (address and data still unknown).
@@ -96,20 +129,18 @@ impl StoreBuffer {
             addr: None,
             data: None,
             width,
-            killed: false,
         });
-        self.live += 1;
     }
 
     /// Record the computed address and data when the store executes.
     ///
     /// # Panics
-    /// Panics if no live entry with `seq` exists.
+    /// Panics if no entry with `seq` exists.
     pub fn set_addr_data(&mut self, seq: Seq, addr: u64, data: i64) {
         let e = self
             .entries
             .iter_mut()
-            .find(|e| e.seq == seq && !e.killed)
+            .find(|e| e.seq == seq)
             .expect("store executed without a buffer entry");
         e.addr = Some(addr);
         e.data = Some(data);
@@ -122,7 +153,8 @@ impl StoreBuffer {
     /// (the CTX filter of §3.2.4). Perfect memory disambiguation:
     /// different-address stores never block the load; an exactly matching
     /// store forwards; a partially overlapping store blocks until it
-    /// drains to the D-cache at commit.
+    /// drains to the D-cache at commit. A blocked load is told the oldest
+    /// participating store that blocks it.
     pub fn check_load(
         &self,
         load_seq: Seq,
@@ -137,43 +169,30 @@ impl StoreBuffer {
                 // further back can be older than the load.
                 break;
             }
-            if e.killed || !load_ctx.is_descendant_or_equal(&e.ctx) {
+            if !load_ctx.is_descendant_or_equal(&e.ctx) {
                 continue;
             }
-            match e.addr {
-                None => return LoadCheck::Block,
-                Some(saddr) => {
-                    if saddr == addr && e.width == width {
-                        match e.data {
-                            Some(d) => forward = Some(d), // youngest wins
-                            None => return LoadCheck::Block,
-                        }
-                    } else if ranges_overlap(saddr, e.width, addr, width) {
-                        // Partial overlap: wait for the store to commit.
-                        return LoadCheck::Block;
-                    }
-                }
+            if let Some(store) = probe(e, addr, width, &mut forward) {
+                return LoadCheck::Block(store);
             }
         }
-        match forward {
-            Some(v) => LoadCheck::Forward(v),
-            None => LoadCheck::Memory,
-        }
+        forward.map_or(LoadCheck::Memory, LoadCheck::Forward)
     }
 
-    /// Every occupied slot — corpses included — oldest first. For the
-    /// sanitizer; not part of the pipeline.
-    pub(crate) fn debug_iter(&self) -> impl Iterator<Item = &SbEntry> {
+    /// Every entry, oldest first. For the sanitizer and the model tests;
+    /// not part of the pipeline.
+    pub fn debug_iter(&self) -> impl Iterator<Item = &SbEntry> {
         self.entries.iter()
     }
 
     /// Reference model for [`check_load`](Self::check_load): no reliance on
     /// buffer ordering (entries are collected and sorted by seq) and the
     /// CTX filter applied per entry from first principles. The fast path
-    /// must agree with this on every lookup; the per-cycle sanitizer
-    /// cross-checks them. The caller passes the load's *scrubbed* tag, so
-    /// the comparison also exercises the lazy-vs-eager tag equivalence the
-    /// fast path's direct comparison depends on.
+    /// must agree with this on every lookup, down to the blocking store it
+    /// names; the per-cycle sanitizer cross-checks them. The caller passes
+    /// the load's *scrubbed* tag, so the comparison also exercises the
+    /// lazy-vs-eager tag equivalence the fast path's direct comparison
+    /// depends on.
     pub fn check_load_naive(
         &self,
         load_seq: Seq,
@@ -184,21 +203,13 @@ impl StoreBuffer {
         let mut older: Vec<&SbEntry> = self
             .entries
             .iter()
-            .filter(|e| !e.killed && e.seq < load_seq && load_ctx.is_descendant_or_equal(&e.ctx))
+            .filter(|e| e.seq < load_seq && load_ctx.is_descendant_or_equal(&e.ctx))
             .collect();
         older.sort_by_key(|e| e.seq);
         let mut forward: Option<i64> = None;
         for e in older {
-            let Some(saddr) = e.addr else {
-                return LoadCheck::Block;
-            };
-            if saddr == addr && e.width == width {
-                match e.data {
-                    Some(d) => forward = Some(d),
-                    None => return LoadCheck::Block,
-                }
-            } else if ranges_overlap(saddr, e.width, addr, width) {
-                return LoadCheck::Block;
+            if let Some(store) = probe(e, addr, width, &mut forward) {
+                return LoadCheck::Block(store);
             }
         }
         forward.map_or(LoadCheck::Memory, LoadCheck::Forward)
@@ -207,18 +218,14 @@ impl StoreBuffer {
     /// Remove and return the entry for the committing store `seq`.
     ///
     /// # Panics
-    /// Panics if the head live entry is not `seq` (stores commit in
-    /// program order) or its address/data are unknown.
+    /// Panics if the head entry is not `seq` (stores commit in program
+    /// order) or its address/data are unknown.
     pub fn commit(&mut self, seq: Seq) -> (u64, i64, Width) {
-        while matches!(self.entries.front(), Some(e) if e.killed) {
-            self.entries.pop_front();
-        }
         let e = self
             .entries
             .pop_front()
             .expect("committing store not in buffer");
         assert_eq!(e.seq, seq, "stores must commit in order");
-        self.live -= 1;
         (
             e.addr.expect("committed store without address"),
             e.data.expect("committed store without data"),
@@ -226,23 +233,16 @@ impl StoreBuffer {
         )
     }
 
-    /// Resolution bus: kill stores on the wrong path. Tags here are eager,
-    /// so the single `(position, direction)` pair test suffices.
+    /// Resolution bus: remove the stores on the wrong path. Tags here are
+    /// eager, so the single `(position, direction)` pair test suffices.
     pub fn kill_matching(&mut self, kill: &ResolutionKill) {
-        for e in &mut self.entries {
-            if !e.killed && kill.matches_eager(&e.ctx) {
-                e.killed = true;
-                self.live -= 1;
-            }
-        }
+        self.entries.retain(|e| !kill.matches_eager(&e.ctx));
     }
 
-    /// Commit bus: invalidate a history position in every live tag.
+    /// Commit bus: invalidate a history position in every buffered tag.
     pub fn invalidate_position(&mut self, pos: usize) {
         for e in &mut self.entries {
-            if !e.killed {
-                e.ctx.invalidate(pos);
-            }
+            e.ctx.invalidate(pos);
         }
     }
 }
@@ -289,7 +289,7 @@ mod tests {
         sb.insert(1, CtxTag::root(), W);
         assert_eq!(
             sb.check_load(2, &CtxTag::root(), 0x100, W),
-            LoadCheck::Block
+            LoadCheck::Block(1)
         );
     }
 
@@ -353,7 +353,7 @@ mod tests {
         // Word load covering 0x100..0x108 overlaps the byte store.
         assert_eq!(
             sb.check_load(2, &CtxTag::root(), 0x100, W),
-            LoadCheck::Block
+            LoadCheck::Block(1)
         );
         // Byte load at a different byte does not.
         assert_eq!(
@@ -374,16 +374,34 @@ mod tests {
     }
 
     #[test]
-    fn commit_pops_in_order_over_corpses() {
+    fn kill_leaves_only_live_stores() {
         let mut sb = StoreBuffer::new();
         let wrong = CtxTag::root().with_position(0, true);
         sb.insert(1, wrong, W);
         sb.insert(2, CtxTag::root(), W);
         sb.set_addr_data(2, 0x10, 42);
         sb.kill_matching(&kill_at(0, true));
+        assert_eq!(sb.debug_iter().map(|e| e.seq).collect::<Vec<_>>(), [2]);
         assert_eq!(sb.commit(2), (0x10, 42, W));
         assert!(sb.is_empty());
-        let _ = wrong;
+    }
+
+    #[test]
+    fn block_names_the_oldest_blocking_store() {
+        let mut sb = StoreBuffer::new();
+        sb.insert(1, CtxTag::root(), W);
+        sb.set_addr_data(1, 0x200, 5); // disjoint: never blocks
+        sb.insert(2, CtxTag::root(), Width::Byte);
+        sb.set_addr_data(2, 0x101, 6); // partial overlap
+        sb.insert(3, CtxTag::root(), W); // unknown address
+        assert_eq!(
+            sb.check_load(4, &CtxTag::root(), 0x100, W),
+            LoadCheck::Block(2)
+        );
+        assert_eq!(
+            sb.check_load(4, &CtxTag::root(), 0x300, W),
+            LoadCheck::Block(3)
+        );
     }
 
     #[test]

@@ -19,13 +19,24 @@
 //! slot:
 //!
 //! * `live_words` — occupied-and-not-killed slots,
-//! * `ready_words` — issue candidates (live, `Waiting`, operands ready).
+//! * `ready_words` — issue candidates (live, `Waiting`, operands ready,
+//!   not parked).
 //!
 //! With those, the broadcast-shaped operations are mask walks: the issue
 //! select scan visits only `ready_words` set bits, commit/drain clears
 //! single bits, and the resolution kill prunes its scan with `live_words`
 //! (dead words are skipped 64 slots at a time) before applying the
 //! per-slot tag test.
+//!
+//! # Parking
+//!
+//! A candidate the issue stage cannot issue until some older entry acts
+//! (a load the store buffer blocks) is *parked* on that entry
+//! ([`IssueOutcome::Park`]): its candidate bit is cleared and the pair is
+//! noted in a short list. The entry is offered again exactly when its
+//! blocker issues, commits, or is killed — the three events after which
+//! the blocker's hold can change — instead of being re-checked every
+//! cycle. This is the register wakeup bus applied to memory ordering.
 //!
 //! There is deliberately **no** per-`(position, direction)` registration
 //! index on the hot path: maintaining one costs a loop over every genuine
@@ -160,8 +171,13 @@ impl WinEntry {
 /// (see [`Window::for_each_issuable`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IssueOutcome {
-    /// The entry issued; drop its candidate bit.
+    /// The entry issued; drop its candidate bit, and offer the entries
+    /// parked on it again.
     Issued,
+    /// The entry cannot issue before the older live entry with this
+    /// sequence number issues, commits or is killed: drop its candidate
+    /// bit and park it on that entry until one of those happens.
+    Park(Seq),
     /// The entry lost on a structural resource; keep its bit for next
     /// cycle's scan.
     Keep,
@@ -177,8 +193,8 @@ pub enum IssueOutcome {
 /// rewrites them after dispatch); execution state is borrowed mutably.
 /// Liveness and issue candidacy are *not* exposed — those are mirrored in
 /// the window's bitmasks and change only through [`Window::push`],
-/// [`Window::kill_matching`], [`Window::for_each_issuable`], and
-/// [`Window::wake`].
+/// [`Window::pop_head`], [`Window::kill_matching`],
+/// [`Window::for_each_issuable`], and [`Window::wake`].
 pub struct EntryMut<'a> {
     /// Fetch identity.
     pub fid: FetchId,
@@ -232,13 +248,14 @@ pub struct Window {
 
     /// Bit per slot: occupied and not killed.
     pub(crate) live_words: Vec<u64>,
-    /// Bit per slot: issue candidate (live, `Waiting`, operands ready; it
-    /// may still lose on functional units or memory ordering — the bit
-    /// stays set and it retries next cycle).
+    /// Bit per slot: issue candidate (live, `Waiting`, operands ready, not
+    /// parked; it may still lose on a functional unit — the bit stays set
+    /// and it retries next cycle).
     pub(crate) ready_words: Vec<u64>,
-    /// Snapshot scratch for the kill and issue scans (the walked bitmap
-    /// must not alias the masks the callbacks mutate).
-    kill_scratch: Vec<u64>,
+    /// Parked entries as `(entry seq, blocker seq)`, unordered: live,
+    /// waiting, operands ready, and not candidates until their blocker
+    /// issues, commits or is killed (see the module docs).
+    pub(crate) parked: Vec<(Seq, Seq)>,
 }
 
 /// Bits `lo..hi` of one 64-bit word (`0 <= lo < hi <= 64`).
@@ -248,12 +265,38 @@ fn range_mask(lo: usize, hi: usize) -> u64 {
     upper & !((1u64 << lo) - 1)
 }
 
+/// The words covering the ring span `[front, back)` (monotone indices;
+/// `slot = index & ring_mask`), in *span order* — oldest occupant first,
+/// even when the span wraps around the ring — each paired with the mask
+/// of its in-span bits. A word the wrapped span enters twice is listed
+/// twice, with disjoint masks. Shared by the window and the front-end
+/// queue: this is what turns their age-ordered broadcasts into mask
+/// walks.
+fn span_words(front: u64, back: u64, ring_mask: usize) -> impl Iterator<Item = (usize, u64)> {
+    let len = ring_mask + 1;
+    let front_slot = front as usize & ring_mask;
+    let span = (back - front) as usize;
+    debug_assert!(span <= len);
+    let segments = if front_slot + span <= len {
+        [(front_slot, front_slot + span), (0, 0)]
+    } else {
+        [(front_slot, len), (0, front_slot + span - len)]
+    };
+    segments
+        .into_iter()
+        .filter(|&(s, e)| s < e)
+        .flat_map(|(s, e)| {
+            (s / 64..=(e - 1) / 64).map(move |w| {
+                let lo = s.max(w * 64) - w * 64;
+                let hi = e.min(w * 64 + 64) - w * 64;
+                (w, range_mask(lo, hi))
+            })
+        })
+}
+
 /// Visit the set bits of `words` restricted to the ring span
-/// `[front, back)` (monotone indices; `slot = index & ring_mask`), in
-/// *span order* — oldest occupant first, even when the span wraps around
-/// the ring — as `(slot, index)` pairs. Shared by the window and the
-/// front-end queue: this is what turns their age-ordered broadcasts into
-/// mask walks.
+/// `[front, back)` in span order (see [`span_words`]), as `(slot, index)`
+/// pairs.
 pub(crate) fn for_each_masked_slot(
     front: u64,
     back: u64,
@@ -261,54 +304,22 @@ pub(crate) fn for_each_masked_slot(
     words: &[u64],
     mut visit: impl FnMut(usize, u64),
 ) {
-    for_each_masked_slot_while(front, back, ring_mask, words, |slot, seq| {
-        visit(slot, seq);
-        true
-    });
+    let front_slot = front as usize & ring_mask;
+    for (w, in_span) in span_words(front, back, ring_mask) {
+        let mut word = words[w] & in_span;
+        while word != 0 {
+            let slot = w * 64 + word.trailing_zeros() as usize;
+            word &= word - 1;
+            let off = slot.wrapping_sub(front_slot) & ring_mask;
+            visit(slot, front + off as u64);
+        }
+    }
 }
 
-/// [`for_each_masked_slot`] with early termination: the visitor returns
-/// `false` to abandon the walk (used by the issue select scan once the
-/// functional-unit pool is exhausted for the cycle).
-pub(crate) fn for_each_masked_slot_while(
-    front: u64,
-    back: u64,
-    ring_mask: usize,
-    words: &[u64],
-    mut visit: impl FnMut(usize, u64) -> bool,
-) {
-    let len = ring_mask + 1;
-    let front_slot = front as usize & ring_mask;
-    let span = (back - front) as usize;
-    if span == 0 {
-        return;
-    }
-    debug_assert!(span <= len);
-    let segments = if front_slot + span <= len {
-        [(front_slot, front_slot + span), (0, 0)]
-    } else {
-        [(front_slot, len), (0, front_slot + span - len)]
-    };
-    for (s, e) in segments {
-        if s >= e {
-            continue;
-        }
-        let (w_lo, w_hi) = (s / 64, (e - 1) / 64);
-        for (w, &bits) in words.iter().enumerate().take(w_hi + 1).skip(w_lo) {
-            let lo = s.max(w * 64) - w * 64;
-            let hi = e.min(w * 64 + 64) - w * 64;
-            let mut word = bits & range_mask(lo, hi);
-            while word != 0 {
-                let b = word.trailing_zeros() as usize;
-                word &= word - 1;
-                let slot = w * 64 + b;
-                let off = slot.wrapping_sub(front_slot) & ring_mask;
-                if !visit(slot, front + off as u64) {
-                    return;
-                }
-            }
-        }
-    }
+/// Whether `slot`'s bit is set in a one-bit-per-slot mask family.
+#[inline]
+fn has_bit(words: &[u64], slot: usize) -> bool {
+    words[slot / 64] & (1u64 << (slot % 64)) != 0
 }
 
 impl Window {
@@ -329,7 +340,11 @@ impl Window {
             slots: vec![WinEntry::vacant(); ring_len],
             live_words: vec![0; words],
             ready_words: vec![0; words],
-            kill_scratch: vec![0; words],
+            // The kill-scan scratch words this list replaced were 32
+            // bytes, and so are two pairs: `new` allocates what it did
+            // (perfbench's set-up time is sensitive to the heap layout;
+            // ROADMAP item 2).
+            parked: Vec::with_capacity(2),
         }
     }
 
@@ -347,7 +362,7 @@ impl Window {
 
     #[inline]
     fn live_bit(&self, slot: usize) -> bool {
-        self.live_words[slot / 64] & (1u64 << (slot % 64)) != 0
+        has_bit(&self.live_words, slot)
     }
 
     #[inline]
@@ -457,7 +472,6 @@ impl Window {
         }
         self.live_words = new_live;
         self.ready_words = new_ready;
-        self.kill_scratch = vec![0; words];
         self.ring_mask = new_mask;
     }
 
@@ -495,7 +509,8 @@ impl Window {
     }
 
     /// Remove the head entry (it committed) and lend out its record, which
-    /// stays in its slot until a later push reuses it.
+    /// stays in its slot until a later push reuses it. Entries parked on
+    /// it are offered again.
     ///
     /// # Panics
     /// Panics if there is no live head entry.
@@ -505,6 +520,7 @@ impl Window {
         assert!(self.span() > 0, "pop from empty window");
         let slot = self.release_front(false);
         self.live -= 1;
+        self.wake_parked_on(self.slots[slot].seq);
         &self.slots[slot]
     }
 
@@ -550,17 +566,38 @@ impl Window {
     pub(crate) fn debug_iter(&self) -> impl Iterator<Item = (&WinEntry, bool)> {
         (self.front_seq..self.back_seq).map(|seq| {
             let slot = self.slot_of(seq);
-            (
-                &self.slots[slot],
-                self.ready_words[slot / 64] & (1u64 << (slot % 64)) != 0,
-            )
+            (&self.slots[slot], has_bit(&self.ready_words, slot))
         })
+    }
+
+    /// The oldest parked entry, if any: the stall classifier counts it as
+    /// refused by the scan that left it parked.
+    pub(crate) fn oldest_parked(&self) -> Option<Seq> {
+        self.parked.iter().map(|&(entry, _)| entry).min()
+    }
+
+    /// Offer every entry parked on `blocker` to the select scan again.
+    #[inline]
+    fn wake_parked_on(&mut self, blocker: Seq) {
+        let mut i = 0;
+        while i < self.parked.len() {
+            let (entry, on) = self.parked[i];
+            if on == blocker {
+                self.parked.swap_remove(i);
+                let slot = self.slot_of(entry);
+                debug_assert!(self.live_bit(slot), "parked entries are live");
+                self.set_ready_bit(slot);
+            } else {
+                i += 1;
+            }
+        }
     }
 
     /// The branch resolution bus (paper §3.2.3 "resolution"): kill every
     /// live entry on the wrong path of the resolving branch, invoking
     /// `on_kill` on each so the caller can release registers, CTX
-    /// positions, and store-buffer state.
+    /// positions, and store-buffer state. Parked entries die with the
+    /// rest; a surviving entry parked on a killed one is offered again.
     ///
     /// The scan is pruned by the live bitmap (all-dead words are skipped
     /// 64 slots at a time); each live slot is tested with the selector's
@@ -570,70 +607,101 @@ impl Window {
     /// off the per-instruction hot path by construction.
     pub fn kill_matching(&mut self, kill: &ResolutionKill, mut on_kill: impl FnMut(&WinEntry)) {
         let mut killed = 0;
-        let mut snapshot = std::mem::take(&mut self.kill_scratch);
-        snapshot.copy_from_slice(&self.live_words);
-        for_each_masked_slot(
-            self.front_seq,
-            self.back_seq,
-            self.ring_mask,
-            &snapshot,
-            |slot, seq| {
-                let s = &mut self.slots[slot];
-                debug_assert_eq!(s.seq, seq);
+        for (w, in_span) in span_words(self.front_seq, self.back_seq, self.ring_mask) {
+            // A copy of the word is enough: the scan clears only bits it
+            // has already visited.
+            let mut word = self.live_words[w] & in_span;
+            while word != 0 {
+                let bit = word & word.wrapping_neg();
+                word &= word - 1;
+                let s = &mut self.slots[w * 64 + bit.trailing_zeros() as usize];
                 if !kill.matches(&s.ctx, s.born) {
-                    return;
+                    continue;
                 }
                 s.killed = true;
-                let bit = 1u64 << (slot % 64);
-                self.live_words[slot / 64] &= !bit;
-                self.ready_words[slot / 64] &= !bit;
+                self.live_words[w] &= !bit;
+                self.ready_words[w] &= !bit;
                 killed += 1;
                 on_kill(s);
-            },
-        );
-        self.kill_scratch = snapshot;
+            }
+        }
         self.live -= killed;
+        if killed > 0 {
+            let Window {
+                parked,
+                live_words,
+                ready_words,
+                ring_mask,
+                ..
+            } = self;
+            let slot = |seq: Seq| seq as usize & *ring_mask;
+            parked.retain(|&(entry, blocker)| {
+                let entry = slot(entry);
+                if !has_bit(live_words, entry) {
+                    return false;
+                }
+                if has_bit(live_words, slot(blocker)) {
+                    return true;
+                }
+                ready_words[entry / 64] |= 1u64 << (entry % 64);
+                false
+            });
+        }
     }
 
     /// The issue stage's select scan: visit the issue candidates (live,
-    /// waiting, operands ready — maintained by [`push`](Self::push),
-    /// [`wake`](Self::wake), and [`kill_matching`](Self::kill_matching))
-    /// oldest first. `try_issue` reports what happened: [`Issued`]
-    /// entries drop their candidate bit (the callback must have set the
-    /// entry's state), [`Keep`] entries lost on a structural resource and
-    /// are revisited next cycle, and [`Stop`] additionally abandons the
-    /// rest of the scan — the caller has determined no later candidate
-    /// can issue this cycle (every functional unit busy), so visiting
-    /// them would be pure overhead.
+    /// waiting, operands ready, not parked — maintained by
+    /// [`push`](Self::push), [`wake`](Self::wake),
+    /// [`kill_matching`](Self::kill_matching), [`pop_head`](Self::pop_head)
+    /// and this scan) oldest first. `try_issue` reports what happened:
+    /// [`Issued`] entries drop their candidate bit (the callback must have
+    /// set the entry's state) and wake the entries parked on them,
+    /// [`Park`] entries drop it until their blocker acts, [`Keep`] entries
+    /// lost on a structural resource and are revisited next cycle, and
+    /// [`Stop`] additionally abandons the rest of the scan — the caller
+    /// has determined no later candidate can issue this cycle (every
+    /// functional unit busy), so visiting them would be pure overhead.
     ///
-    /// The scan walks only the candidate bitmap — cycles with nothing
-    /// ready cost a few word tests regardless of window occupancy.
+    /// The scan walks the live candidate bitmap one word at a time, so an
+    /// entry woken by an issue earlier in the scan (it is younger than
+    /// its blocker, so it lies ahead) is offered later in the same scan.
+    /// Cycles with nothing ready cost a few word tests regardless of
+    /// window occupancy.
     ///
     /// [`Issued`]: IssueOutcome::Issued
+    /// [`Park`]: IssueOutcome::Park
     /// [`Keep`]: IssueOutcome::Keep
     /// [`Stop`]: IssueOutcome::Stop
     pub fn for_each_issuable(&mut self, mut try_issue: impl FnMut(EntryMut<'_>) -> IssueOutcome) {
-        let mut snapshot = std::mem::take(&mut self.kill_scratch);
-        snapshot.copy_from_slice(&self.ready_words);
-        for_each_masked_slot_while(
-            self.front_seq,
-            self.back_seq,
-            self.ring_mask,
-            &snapshot,
-            |slot, _seq| {
+        for (w, in_span) in span_words(self.front_seq, self.back_seq, self.ring_mask) {
+            let mut word = self.ready_words[w] & in_span;
+            while word != 0 {
+                let b = word.trailing_zeros() as usize;
+                let slot = w * 64 + b;
                 debug_assert!(self.slots[slot].state == EntryState::Waiting && self.live_bit(slot));
                 match try_issue(self.entry_mut(slot)) {
                     IssueOutcome::Issued => {
                         debug_assert!(self.slots[slot].state == EntryState::Issued);
-                        self.ready_words[slot / 64] &= !(1u64 << (slot % 64));
-                        true
+                        self.ready_words[w] &= !(1u64 << b);
+                        self.wake_parked_on(self.slots[slot].seq);
                     }
-                    IssueOutcome::Keep => true,
-                    IssueOutcome::Stop => false,
+                    IssueOutcome::Park(blocker) => {
+                        debug_assert!(
+                            blocker < self.slots[slot].seq
+                                && self.index_of(blocker).is_some_and(|b| self.live_bit(b)),
+                            "an entry parks on an older live entry"
+                        );
+                        self.ready_words[w] &= !(1u64 << b);
+                        self.parked.push((self.slots[slot].seq, blocker));
+                    }
+                    IssueOutcome::Keep => {}
+                    IssueOutcome::Stop => return,
                 }
-            },
-        );
-        self.kill_scratch = snapshot;
+                // Re-read the word past this slot: a wake may have set a
+                // younger bit in it.
+                word = self.ready_words[w] & in_span & (u64::MAX << b << 1);
+            }
+        }
     }
 
     /// The writeback stage's wakeup bus: if the entry with sequence number
@@ -950,6 +1018,87 @@ mod tests {
         assert_eq!(w.pop_head().seq, 0);
         assert_eq!(w.pop_head().seq, seq);
         assert!(w.is_empty());
+    }
+
+    /// Offer every candidate once: park `parked` on `blocker`, keep the
+    /// rest. Returns the visit order.
+    fn park_one(w: &mut Window, parked: Seq, blocker: Seq) -> Vec<Seq> {
+        let mut seqs = Vec::new();
+        w.for_each_issuable(|e| {
+            seqs.push(e.seq);
+            if e.seq == parked {
+                IssueOutcome::Park(blocker)
+            } else {
+                IssueOutcome::Keep
+            }
+        });
+        seqs
+    }
+
+    #[test]
+    fn parked_entry_waits_for_its_blocker_to_issue() {
+        let mut w = Window::new(8);
+        push(&mut w, entry(0, CtxTag::root()), false); // blocker, not ready
+        push(&mut w, entry(1, CtxTag::root()), true);
+        push(&mut w, entry(2, CtxTag::root()), true);
+        assert_eq!(park_one(&mut w, 1, 0), vec![1, 2]);
+        assert_eq!(w.oldest_parked(), Some(1));
+        assert_eq!(issue_seqs(&mut w), vec![2], "parked entry is not offered");
+        // The blocker becomes ready and issues: the parked entry, younger,
+        // is offered later in the same scan.
+        w.wake(0, |_| true);
+        assert_eq!(issue_seqs(&mut w), vec![0, 1]);
+        assert_eq!(w.oldest_parked(), None);
+    }
+
+    #[test]
+    fn parked_entry_wakes_when_its_blocker_commits_or_dies() {
+        let mut w = Window::new(8);
+        let t = CtxTag::root().with_position(0, true);
+        push(&mut w, entry(0, CtxTag::root()), false); // commits
+        push(&mut w, entry(1, t), false); // killed
+        push(&mut w, entry(2, CtxTag::root()), true);
+        push(&mut w, entry(3, CtxTag::root()), true);
+        park_one(&mut w, 2, 0);
+        park_one(&mut w, 3, 1);
+        assert!(issue_seqs(&mut w).is_empty());
+        assert_eq!(kill_seqs(&mut w, &kill_at(0, true)), vec![1]);
+        assert_eq!(w.pop_head().seq, 0);
+        assert_eq!(issue_seqs(&mut w), vec![2, 3]);
+    }
+
+    #[test]
+    fn parked_entry_dies_with_the_kill() {
+        let mut w = Window::new(8);
+        let t = CtxTag::root().with_position(0, true);
+        push(&mut w, entry(0, t), false);
+        push(&mut w, entry(1, t), true);
+        park_one(&mut w, 1, 0);
+        assert_eq!(kill_seqs(&mut w, &kill_at(0, true)), vec![0, 1]);
+        assert_eq!(
+            w.oldest_parked(),
+            None,
+            "the kill drops dead parked entries"
+        );
+        assert!(issue_seqs(&mut w).is_empty());
+    }
+
+    #[test]
+    fn parking_survives_ring_growth() {
+        let mut w = Window::new(4); // ring of 4
+        let doomed = CtxTag::root().with_position(1, false);
+        push(&mut w, entry(0, CtxTag::root()), false); // stalled head, blocker
+        push(&mut w, entry(1, CtxTag::root()), true);
+        park_one(&mut w, 1, 0);
+        for seq in 2..4 {
+            push(&mut w, entry(seq, doomed), false);
+        }
+        kill_seqs(&mut w, &kill_at(1, false));
+        push(&mut w, entry(4, CtxTag::root()), false);
+        assert_eq!(w.ring_len(), 8, "the span outgrew the ring");
+        assert!(issue_seqs(&mut w).is_empty(), "still parked after the grow");
+        assert_eq!(w.pop_head().seq, 0);
+        assert_eq!(issue_seqs(&mut w), vec![1]);
     }
 
     #[test]

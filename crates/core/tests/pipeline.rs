@@ -3,8 +3,11 @@
 //! architecturally identical in every execution mode — wrong paths must be
 //! invisible.
 
+use std::collections::HashSet;
+
 use pp_core::{
-    ConfidenceKind, ExecMode, MergeConfig, PredictorKind, SimConfig, SimStats, Simulator,
+    ConfidenceKind, ExecMode, FetchId, KillStage, MergeConfig, PipeEvent, PredictorKind, SimConfig,
+    SimStats, Simulator, TraceLog,
 };
 use pp_func::Emulator;
 use pp_isa::{reg, Asm, FpOp, Operand, Program};
@@ -1134,4 +1137,182 @@ fn monopath_equivalence_laws_hold_byte_for_byte() {
             w.name()
         );
     }
+}
+
+// ---------------------------------------------------------------------
+// Memory-ordering wake timing
+// ---------------------------------------------------------------------
+
+/// The events of a traced run of `program` under `cfg`, asserting the
+/// sanitizer-armed run emits exactly the same stream (the sanitizer
+/// observes; it must never move an issue cycle).
+fn traced_events(program: &Program, cfg: SimConfig) -> Vec<PipeEvent> {
+    let run = |cfg: SimConfig| {
+        let mut sim = Simulator::new(program, cfg.with_commit_checking());
+        sim.set_observer(Box::new(TraceLog::new()));
+        let stats = sim.run();
+        sim.finish_commit_check();
+        assert!(!stats.hit_cycle_limit, "run hit the cycle limit");
+        let log = sim
+            .take_observer()
+            .expect("observer attached")
+            .into_any()
+            .downcast::<TraceLog>()
+            .expect("a TraceLog was attached");
+        log.events().to_vec()
+    };
+    let plain = run(cfg.clone());
+    assert_eq!(run(cfg.with_sanitizer()), plain, "sanitizer moved an event");
+    plain
+}
+
+/// Cycles of the events `pick` selects, for every fetched instance of
+/// the instruction at `pc`, in event order.
+fn cycles_at(events: &[PipeEvent], pc: usize, pick: fn(&PipeEvent) -> bool) -> Vec<u64> {
+    let fids: HashSet<FetchId> = events
+        .iter()
+        .filter_map(|ev| match ev {
+            PipeEvent::Fetched { fid, pc: p, .. } if *p == pc => Some(*fid),
+            _ => None,
+        })
+        .collect();
+    events
+        .iter()
+        .filter(|ev| pick(ev) && fids.contains(&ev.fid()))
+        .map(PipeEvent::cycle)
+        .collect()
+}
+
+fn issued(ev: &PipeEvent) -> bool {
+    matches!(ev, PipeEvent::Issued { .. })
+}
+
+fn committed(ev: &PipeEvent) -> bool {
+    matches!(ev, PipeEvent::Committed { .. })
+}
+
+fn dispatched(ev: &PipeEvent) -> bool {
+    matches!(ev, PipeEvent::Dispatched { .. })
+}
+
+fn killed_in_window(ev: &PipeEvent) -> bool {
+    matches!(
+        ev,
+        PipeEvent::Killed {
+            stage: KillStage::Window,
+            ..
+        }
+    )
+}
+
+#[test]
+fn load_behind_an_unissued_store_issues_in_the_stores_cycle() {
+    // The store's data comes from a multiply, so its address stays
+    // unknown to the store buffer until the multiply writes back and the
+    // store issues. The load (address ready at dispatch) is blocked until
+    // then, and the store's issue lets it forward in the same scan.
+    let p = assemble(|a| {
+        a.li(reg::T0, 6);
+        a.li(reg::T1, 7);
+        a.mul(reg::T2, reg::T0, reg::T1);
+        a.st(reg::T2, reg::ZERO, 0x2000);
+        a.ld(reg::T3, reg::ZERO, 0x2000);
+        a.st(reg::T3, reg::ZERO, 0x2008);
+        a.halt();
+    });
+    let events = traced_events(&p, SimConfig::monopath_baseline());
+    let (mul, store, load) = (
+        cycles_at(&events, 2, issued),
+        cycles_at(&events, 3, issued),
+        cycles_at(&events, 4, issued),
+    );
+    assert_eq!(
+        (mul, store.clone(), load.clone()),
+        (vec![7], vec![15], vec![15])
+    );
+    assert_eq!(load, store, "the load issues in the cycle its blocker does");
+}
+
+#[test]
+fn load_behind_a_partly_overlapping_store_issues_when_it_commits() {
+    // A byte store inside the word the load reads cannot forward: the
+    // load waits for the store to drain to memory at commit.
+    let p = assemble(|a| {
+        a.li(reg::T0, 0x41);
+        a.stb(reg::T0, reg::ZERO, 0x2003);
+        a.ld(reg::T1, reg::ZERO, 0x2000);
+        a.st(reg::T1, reg::ZERO, 0x2008);
+        a.halt();
+    });
+    let events = traced_events(&p, SimConfig::monopath_baseline());
+    let (store_issue, store_commit, load) = (
+        cycles_at(&events, 1, issued),
+        cycles_at(&events, 1, committed),
+        cycles_at(&events, 2, issued),
+    );
+    assert_eq!(
+        (store_issue, store_commit.clone(), load.clone()),
+        (vec![7], vec![9], vec![9])
+    );
+    assert_eq!(
+        load, store_commit,
+        "the load issues in its blocker's commit cycle"
+    );
+    // The head load waiting on the store is charged to the store buffer,
+    // also in the cycles its issue scan skipped it (it sat parked).
+    let mut sim = Simulator::new(&p, SimConfig::monopath_baseline());
+    sim.enable_stall_accounting();
+    sim.run();
+    let st = sim.stall_stack().expect("accounting enabled");
+    assert_eq!((st.store_buffer, st.operand_wait), (7, 46));
+}
+
+#[test]
+fn load_blocked_on_a_killed_see_arm_dies_with_its_blocker() {
+    // SEE diverges on the (cold, low-confidence) branch. Its not-taken
+    // arm holds a store whose data waits on a long multiply chain and a
+    // load the store blocks; the branch resolves taken first, so the
+    // blocked load is killed with its blocker without ever issuing. The
+    // taken arm's load of the same word never sees the sibling store.
+    let p = assemble(|a| {
+        a.li(reg::T0, 3);
+        a.mul(reg::T1, reg::T0, reg::T0);
+        a.mul(reg::T2, reg::T1, reg::T0);
+        a.mul(reg::T2, reg::T2, reg::T0);
+        a.mul(reg::T2, reg::T2, reg::T0);
+        let taken = a.new_label();
+        a.beq(reg::T1, 9i64, taken);
+        a.st(reg::T2, reg::ZERO, 0x2000); // pc 6: wrong arm
+        a.ld(reg::T3, reg::ZERO, 0x2000); // pc 7: wrong arm, blocked
+        a.halt();
+        a.bind(taken).unwrap();
+        a.ld(reg::T4, reg::ZERO, 0x2000); // pc 9: correct arm
+        a.st(reg::T4, reg::ZERO, 0x2008);
+        a.halt();
+    });
+    let events = traced_events(&p, SimConfig::baseline());
+    assert!(
+        events
+            .iter()
+            .any(|ev| matches!(ev, PipeEvent::Diverged { .. })),
+        "SEE must diverge on the cold branch"
+    );
+    assert!(
+        cycles_at(&events, 6, issued).is_empty(),
+        "wrong-arm store never issues"
+    );
+    assert!(
+        cycles_at(&events, 7, issued).is_empty(),
+        "blocked load never issues"
+    );
+    assert_eq!(
+        (
+            cycles_at(&events, 7, dispatched),
+            cycles_at(&events, 7, killed_in_window),
+            cycles_at(&events, 5, committed),
+            cycles_at(&events, 9, issued),
+            cycles_at(&events, 10, committed),
+        ),
+        (vec![6], vec![16], vec![40], vec![7], vec![40])
+    );
 }

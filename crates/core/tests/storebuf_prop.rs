@@ -1,6 +1,8 @@
 //! Model-based randomized test for the CTX-filtered store buffer: the
-//! forwarding decision must match a naive reference model for arbitrary
-//! interleavings of stores, kills, and position invalidations.
+//! forwarding decision — down to the store a blocked load must wait on —
+//! must match a naive reference model for arbitrary interleavings of
+//! stores, kills, and position invalidations, and a kill must leave no
+//! dead entry behind.
 
 use pp_core::{LoadCheck, StoreBuffer};
 use pp_ctx::{CtxTag, ResolutionKill};
@@ -19,6 +21,7 @@ struct ModelStore {
 }
 
 /// What the paper says should happen, written as directly as possible.
+/// A blocked load names the oldest participating store that blocks it.
 fn model_check(
     stores: &[ModelStore],
     load_seq: u64,
@@ -33,15 +36,15 @@ fn model_check(
             continue;
         }
         match s.addr {
-            None => return LoadCheck::Block,
+            None => return LoadCheck::Block(s.seq),
             Some(sa) => {
                 if sa == addr && s.width == width {
                     match s.data {
                         Some(d) => forward = Some(d),
-                        None => return LoadCheck::Block,
+                        None => return LoadCheck::Block(s.seq),
                     }
                 } else if overlap(sa, s.width, addr, width) {
-                    return LoadCheck::Block;
+                    return LoadCheck::Block(s.seq);
                 }
             }
         }
@@ -153,6 +156,13 @@ fn store_buffer_matches_model() {
                             m.killed = true;
                         }
                     }
+                    // The kill removes what it matches: the buffer holds
+                    // exactly the model's live stores, in order.
+                    let held: Vec<u64> = sb.debug_iter().map(|e| e.seq).collect();
+                    let live: Vec<u64> =
+                        model.iter().filter(|m| !m.killed).map(|m| m.seq).collect();
+                    assert_eq!(held, live, "dead entries left behind by a kill");
+                    assert_eq!(held.len(), sb.len(), "len counts the held entries");
                 }
                 Step::Invalidate { pos } => {
                     sb.invalidate_position(pos as usize);
@@ -165,11 +175,16 @@ fn store_buffer_matches_model() {
             }
         }
 
-        // Probe a load younger than everything.
+        // Probe a load younger than everything, and one in the middle.
         let load_tag = tag_of(load_path);
         let width = if load_byte { Width::Byte } else { Width::Word };
-        let got = sb.check_load(seq + 1, &load_tag, load_addr as u64, width);
-        let want = model_check(&model, seq + 1, &load_tag, load_addr as u64, width);
-        assert_eq!(got, want);
+        for load_seq in [seq + 1, seq / 2] {
+            let addr = load_addr as u64;
+            let want = model_check(&model, load_seq, &load_tag, addr, width);
+            let got = sb.check_load(load_seq, &load_tag, addr, width);
+            assert_eq!(got, want, "fast path vs model, load seq {load_seq}");
+            let naive = sb.check_load_naive(load_seq, &load_tag, addr, width);
+            assert_eq!(naive, want, "naive path vs model, load seq {load_seq}");
+        }
     });
 }

@@ -1,13 +1,17 @@
 //! SoA window layout vs a naive boxed shadow model.
 //!
 //! The window stores entries in a slot ring with per-status bitmasks;
-//! this suite drives seeded random op sequences — insert, issue-select,
-//! wakeup, completion, resolution kills, position frees (exercising the
-//! lazy-tag epoch filter), and commit, with enough churn to wrap (and
-//! grow) the slot ring — against a deliberately naive shadow: boxed
-//! per-entry structs in a `VecDeque`, every query answered by a linear
-//! scan. After every op the two must agree on live counts, program
-//! order, entry state, issue candidacy, and kill sets.
+//! this suite drives seeded random op sequences — insert, issue-select
+//! (issuing, parking and keeping candidates), wakeup, completion,
+//! resolution kills, position frees (exercising the lazy-tag epoch
+//! filter), and commit, with enough churn to wrap (and grow) the slot
+//! ring — against a deliberately naive shadow: boxed per-entry structs in
+//! a `VecDeque`, every query answered by a linear scan. After every op
+//! the two must agree on live counts, program order, entry state, issue
+//! candidacy, and kill sets; during every scan, on the order in which
+//! candidates are offered — so a parked entry is never offered before its
+//! blocker issues, commits or is killed, and one woken by an issue
+//! earlier in the scan is offered later in that same scan.
 
 use std::collections::VecDeque;
 
@@ -30,6 +34,9 @@ struct ShadowEntry {
     /// Free-epoch stamp at insert; a tag bit is genuine iff its position
     /// has not been freed since.
     born: u64,
+    /// The entry this one is parked on, until that entry issues,
+    /// commits or is killed.
+    parked_on: Option<Seq>,
 }
 
 #[derive(Default)]
@@ -48,9 +55,26 @@ impl Shadow {
 
     fn candidates(&self) -> Vec<Seq> {
         self.live()
-            .filter(|e| e.state == EntryState::Waiting && e.ready)
+            .filter(|e| e.state == EntryState::Waiting && e.ready && e.parked_on.is_none())
             .map(|e| e.seq)
             .collect()
+    }
+
+    fn get_mut(&mut self, seq: Seq) -> &mut ShadowEntry {
+        self.entries
+            .iter_mut()
+            .find(|e| e.seq == seq)
+            .expect("entry exists")
+    }
+
+    /// `blocker` issued, committed or was killed: offer its parked
+    /// entries again.
+    fn wake_parked_on(&mut self, blocker: Seq) {
+        for e in &mut self.entries {
+            if e.parked_on == Some(blocker) {
+                e.parked_on = None;
+            }
+        }
     }
 
     fn drop_dead_head(&mut self) {
@@ -138,40 +162,68 @@ fn soa_window_matches_boxed_shadow_model() {
                         killed: false,
                         tag,
                         born: tick,
+                        parked_on: None,
                     }));
                 }
-                // Issue-select the first k candidates.
+                // Issue-select: issue, park (on a random older live
+                // entry), keep, or stop at each candidate as it is
+                // offered. The shadow replays the scan in lock step: the
+                // next offer must be its oldest candidate younger than
+                // the previous offer, wakes by this scan's issues
+                // included.
                 35..=49 => {
-                    let k = 1 + rng.below(3) as usize;
-                    let mut visited = Vec::new();
-                    let mut issued = 0usize;
+                    let mut last: Option<Seq> = None;
+                    let mut stopped = false;
                     w.for_each_issuable(|e| {
-                        visited.push(e.seq);
-                        if issued < k {
-                            issued += 1;
-                            *e.state = EntryState::Issued;
-                            IssueOutcome::Issued
-                        } else {
-                            IssueOutcome::Keep
+                        let expect = s
+                            .candidates()
+                            .into_iter()
+                            .find(|&c| last.is_none_or(|l| c > l));
+                        assert_eq!(Some(e.seq), expect, "select scan order");
+                        last = Some(e.seq);
+                        match rng.below(10) {
+                            0..=3 => {
+                                *e.state = EntryState::Issued;
+                                s.get_mut(e.seq).state = EntryState::Issued;
+                                s.wake_parked_on(e.seq);
+                                IssueOutcome::Issued
+                            }
+                            4..=6 => {
+                                let older: Vec<Seq> =
+                                    s.live().map(|o| o.seq).filter(|&o| o < e.seq).collect();
+                                if older.is_empty() {
+                                    return IssueOutcome::Keep;
+                                }
+                                let blocker = older[rng.below(older.len() as u64) as usize];
+                                s.get_mut(e.seq).parked_on = Some(blocker);
+                                IssueOutcome::Park(blocker)
+                            }
+                            7 => {
+                                stopped = true;
+                                IssueOutcome::Stop
+                            }
+                            _ => IssueOutcome::Keep,
                         }
                     });
-                    let expect = s.candidates();
-                    assert_eq!(visited, expect, "select scan order");
-                    for seq in expect.into_iter().take(k) {
-                        let e = s
-                            .entries
-                            .iter_mut()
-                            .find(|e| e.seq == seq)
-                            .expect("candidate exists");
-                        e.state = EntryState::Issued;
-                        e.ready = false;
+                    if !stopped {
+                        let missed: Vec<Seq> = s
+                            .candidates()
+                            .into_iter()
+                            .filter(|&c| last.is_none_or(|l| c > l))
+                            .collect();
+                        assert!(missed.is_empty(), "scan ended before offering {missed:?}");
                     }
                 }
-                // Wake a random entry (only live + waiting may promote).
+                // Operand wakeup of a random entry (only live + waiting
+                // may promote). It never reaches a parked entry: a parked
+                // entry's operands were all ready when it was offered.
                 50..=57 => {
                     let Some(pick) = pick_seq(rng, &s) else {
                         continue;
                     };
+                    if s.get_mut(pick).parked_on.is_some() {
+                        continue;
+                    }
                     w.wake(pick, |_| true);
                     if let Some(e) = s.entries.iter_mut().find(|e| e.seq == pick) {
                         if !e.killed && e.state == EntryState::Waiting {
@@ -218,6 +270,9 @@ fn soa_window_matches_boxed_shadow_model() {
                         }
                     }
                     assert_eq!(killed, expect, "kill set in program order");
+                    for seq in expect {
+                        s.wake_parked_on(seq);
+                    }
                 }
                 // Position freed: bump its free epoch; stored bits for it
                 // become stale leftovers (no structure is touched — the
@@ -241,6 +296,7 @@ fn soa_window_matches_boxed_shadow_model() {
                     assert_eq!(popped.seq, shadow.seq, "commit order");
                     assert!(!popped.killed, "committed entry is live");
                     assert_eq!(popped.state, EntryState::Done);
+                    s.wake_parked_on(shadow.seq);
                 }
             }
             agree(&mut w, &s);
