@@ -1391,9 +1391,10 @@ impl Simulator {
         // units, most of a busy cycle's candidates die here. The short
         // cut is exact: it skips only pool probes that must fail and
         // store-buffer checks whose sole observable effect (classifying
-        // the *first* refusal) has already happened. With the sanitizer
-        // armed every candidate still takes the full path, so the
-        // per-issue store-buffer cross-checks all run.
+        // the *first* refusal) has already happened. The sanitizer runs
+        // this same scan: it cross-checks every store-buffer verdict the
+        // scan acts on, and re-checks parked loads every cycle, but it
+        // never changes which candidates are visited.
         //
         // A load the store buffer blocks is parked on the store that
         // blocks it and is not offered again until that store issues,
@@ -1409,7 +1410,7 @@ impl Simulator {
             let read = |slot: Option<PhysReg>| slot.map_or(0, |p| regfile.read(p));
             let class = e.op.class();
             let elig = fus::eligibility_bits(class);
-            if !cfg.sanitize && sat & elig == elig && issue_block.is_some() {
+            if sat & elig == elig && issue_block.is_some() {
                 return if sat == fus::ALL_UNIT_CLASSES {
                     IssueOutcome::Stop
                 } else {
@@ -1426,7 +1427,7 @@ impl Simulator {
                             *issue_block = Some((e.seq, IssueBlock::Fu));
                         }
                         sat |= elig;
-                        return if sat == fus::ALL_UNIT_CLASSES && !cfg.sanitize {
+                        return if sat == fus::ALL_UNIT_CLASSES {
                             IssueOutcome::Stop
                         } else {
                             IssueOutcome::Keep

@@ -40,10 +40,13 @@
 //! per run and its sum in the aggregate. `run()` wall time and KIPS
 //! exclude it.
 //!
-//! `--repeat N` runs the timing run N times per pair and keeps the
-//! **minimum** wall time. Host-side noise (frequency scaling, other
-//! tenants) only ever adds time, so min-of-N estimates the undisturbed
-//! cost; on shared machines use `--repeat 3` for both the baseline
+//! `--repeat N` makes N timing passes over all the pairs, pass-major,
+//! and keeps each pair's **minimum** wall time. Host-side noise
+//! (frequency scaling, other tenants) only ever adds time, so min-of-N
+//! estimates the undisturbed cost; and because a pair's samples are a
+//! whole pass apart, a slowdown lasting seconds lands on one of its
+//! samples, not on all N. The one attribution run per pair follows the
+//! last pass. On shared machines use `--repeat 3` for both the baseline
 //! capture and the comparison run, back to back. Samples at or below
 //! the host timer's resolution (zero elapsed seconds) carry no rate
 //! information and are skipped rather than allowed to win the min; a
@@ -53,14 +56,15 @@
 //! recorded in the report so baselines are only compared at like scale.
 
 use std::fmt::Write as _;
+use std::time::{Duration, Instant};
 
-use pp_experiments::cli;
+use pp_core::{json, SimStats, Simulator};
+use pp_experiments::cli::{self, Arg, Flag};
 use pp_experiments::experiments::BASELINE_HISTORY_BITS;
 use pp_experiments::{named_config, Config};
+use pp_isa::Program;
 use pp_sweep::{scale_factor, scaled};
 use pp_workloads::Workload;
-
-use pp_core::{json, Simulator};
 
 /// The configurations benchmarked, in order. Monopath exercises the
 /// single-path fast path, SEE/JRS the divergence machinery, dual-path
@@ -82,89 +86,106 @@ struct RunReport {
     phases: Vec<(&'static str, f64)>,
 }
 
-fn run_one(w: Workload, c: Config, repeat: usize) -> RunReport {
-    let cfg = named_config(c, BASELINE_HISTORY_BITS);
-    let program = w.build(scaled(w));
+/// One (workload, config) pair and the fastest of its timing samples.
+struct Cell<'p> {
+    w: Workload,
+    c: Config,
+    program: &'p Program,
+    /// Minimum `run()` wall time above the timer's resolution.
+    wall: Option<Duration>,
+    /// Minimum `Simulator::new` time.
+    new: Option<Duration>,
+    /// The stats of the first sample; every later one must match.
+    stats: Option<SimStats>,
+}
 
-    // Timing runs: nothing attached, wall clock measured from outside,
-    // minimum over `repeat` identical runs. A sample at or below the
-    // timer's resolution reads as zero seconds — it carries no rate
-    // information, and letting it win the min would turn KIPS into
-    // infinity/garbage — so sub-resolution samples are skipped.
-    let mut wall: Option<std::time::Duration> = None;
-    let mut new_min = std::time::Duration::MAX;
-    let mut stats = None;
-    for _ in 0..repeat {
-        let run_cfg = cfg.clone();
+impl Cell<'_> {
+    /// One timing run: nothing attached, wall clock measured from
+    /// outside. A sample at or below the timer's resolution reads as
+    /// zero seconds — it carries no rate information, and letting it
+    /// win the min would turn KIPS into infinity/garbage — so
+    /// sub-resolution samples are skipped.
+    fn sample(&mut self) {
+        let cfg = named_config(self.c, BASELINE_HISTORY_BITS);
         #[expect(clippy::disallowed_methods, reason = "wall time is what it measures")]
-        let start = std::time::Instant::now();
-        let mut sim = Simulator::new(&program, run_cfg);
+        let start = Instant::now();
+        let mut sim = Simulator::new(self.program, cfg);
         let built = start.elapsed();
-        new_min = new_min.min(built);
+        self.new = Some(self.new.map_or(built, |n| n.min(built)));
         #[expect(clippy::disallowed_methods, reason = "wall time is what it measures")]
-        let start = std::time::Instant::now();
+        let start = Instant::now();
         let s = sim.run();
         let elapsed = start.elapsed();
-        if elapsed > std::time::Duration::ZERO {
-            wall = Some(wall.map_or(elapsed, |w| w.min(elapsed)));
+        if elapsed > Duration::ZERO {
+            self.wall = Some(self.wall.map_or(elapsed, |w| w.min(elapsed)));
         }
-        assert!(!s.hit_cycle_limit, "{w} hit the cycle limit");
-        if let Some(prev) = &stats {
-            assert_eq!(&s, prev, "{w} repeat run diverged");
+        assert!(!s.hit_cycle_limit, "{} hit the cycle limit", self.w);
+        match &self.stats {
+            Some(prev) => assert_eq!(&s, prev, "{} repeat run diverged", self.w),
+            None => self.stats = Some(s),
         }
-        stats = Some(s);
     }
-    let stats = stats.expect("repeat must be nonzero");
 
-    // Attribution run: same simulation, phase timers on.
-    let mut prof_sim = Simulator::new(&program, cfg);
-    prof_sim.enable_self_profiling();
-    let prof_stats = prof_sim.run();
-    assert_eq!(
-        prof_stats.committed_instructions, stats.committed_instructions,
-        "self-profiling must not perturb the simulation"
-    );
-    let host = prof_sim.host_profile().expect("profiling enabled").clone();
-
-    RunReport {
-        workload: w.name(),
-        config: c.label(),
-        committed: stats.committed_instructions,
-        cycles: stats.cycles,
-        wall_s: wall.map(|w| w.as_secs_f64()),
-        kips: wall.map(|w| stats.committed_instructions as f64 / w.as_secs_f64() / 1e3),
-        new_s: new_min.as_secs_f64(),
-        phases: host
-            .phases()
-            .iter()
-            .map(|(n, d)| (*n, d.as_secs_f64()))
-            .collect(),
+    /// The report: the timing samples plus one attribution run, the
+    /// same simulation with the phase timers on.
+    fn report(self) -> RunReport {
+        let stats = self.stats.expect("repeat must be nonzero");
+        let mut prof_sim =
+            Simulator::new(self.program, named_config(self.c, BASELINE_HISTORY_BITS));
+        prof_sim.enable_self_profiling();
+        let prof_stats = prof_sim.run();
+        assert_eq!(
+            prof_stats.committed_instructions, stats.committed_instructions,
+            "self-profiling must not perturb the simulation"
+        );
+        let host = prof_sim.host_profile().expect("profiling enabled").clone();
+        RunReport {
+            workload: self.w.name(),
+            config: self.c.label(),
+            committed: stats.committed_instructions,
+            cycles: stats.cycles,
+            wall_s: self.wall.map(|w| w.as_secs_f64()),
+            kips: self
+                .wall
+                .map(|w| stats.committed_instructions as f64 / w.as_secs_f64() / 1e3),
+            new_s: self.new.unwrap_or_default().as_secs_f64(),
+            phases: host
+                .phases()
+                .iter()
+                .map(|(n, d)| (*n, d.as_secs_f64()))
+                .collect(),
+        }
     }
 }
 
-fn main() {
+/// `(--out, --baseline, --repeat, --validate)` from the process
+/// arguments.
+fn parse_args() -> Result<(String, Option<String>, usize, Option<String>), String> {
+    const FLAGS: &[Flag] = &[
+        Flag::value("--out", "a path"),
+        Flag::value("--baseline", "a path"),
+        Flag::value("--repeat", "a positive integer"),
+        Flag::value("--validate", "a path"),
+    ];
     let mut out = String::from("BENCH_kernel.json");
-    let mut baseline: Option<String> = None;
-    let mut repeat = 1usize;
-    let mut validate: Option<String> = None;
-    #[expect(clippy::disallowed_methods, reason = "CLI parsing its own argv")]
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--out" => out = cli::require_value(&mut args, "--out", "a path"),
-            "--baseline" => baseline = Some(cli::require_value(&mut args, "--baseline", "a path")),
-            "--repeat" => {
-                repeat = cli::parse_next(&mut args, "--repeat", "a positive integer");
-                if repeat == 0 {
-                    cli::usage_error("--repeat count must be a positive integer");
-                }
-            }
-            "--validate" => validate = Some(cli::require_value(&mut args, "--validate", "a path")),
-            other => cli::usage_error(format_args!(
-                "unknown argument {other:?} (expected --out, --baseline, --repeat, or --validate)"
-            )),
+    let (mut baseline, mut repeat, mut validate) = (None, 1, None);
+    for arg in cli::tokenize(cli::argv(), FLAGS)? {
+        match arg {
+            Arg::Value("--out", v) => out = v.raw,
+            Arg::Value("--baseline", v) => baseline = Some(v.raw),
+            Arg::Value("--repeat", v) => repeat = v.parse()?,
+            Arg::Value("--validate", v) => validate = Some(v.raw),
+            other => return Err(other.unexpected()),
         }
     }
+    if repeat == 0 {
+        return Err("--repeat count must be a positive integer".into());
+    }
+    Ok((out, baseline, repeat, validate))
+}
+
+fn main() {
+    let (out, baseline, repeat, validate) = parse_args().unwrap_or_else(|m| cli::usage_error(m));
 
     if let Some(path) = validate {
         let text = std::fs::read_to_string(&path)
@@ -176,6 +197,28 @@ fn main() {
         return;
     }
 
+    // Every cell, workload-major, with its program built once.
+    let programs: Vec<Program> = Workload::ALL.iter().map(|&w| w.build(scaled(w))).collect();
+    let mut cells: Vec<Cell> = Workload::ALL
+        .iter()
+        .zip(&programs)
+        .flat_map(|(&w, program)| {
+            BENCH_CONFIGS.map(|c| Cell {
+                w,
+                c,
+                program,
+                wall: None,
+                new: None,
+                stats: None,
+            })
+        })
+        .collect();
+    // Pass-major: each pass times every cell once, so a host slowdown
+    // lands on one sample of many cells, not on every sample of one.
+    for _ in 0..repeat {
+        cells.iter_mut().for_each(Cell::sample);
+    }
+
     let mut runs = Vec::new();
     // Aggregate over runs that registered a valid (above-resolution)
     // wall time; untimeable runs are excluded from the rate, not
@@ -183,32 +226,31 @@ fn main() {
     let mut total_committed = 0u64;
     let mut total_wall = 0.0f64;
     let mut total_new = 0.0f64;
-    for w in Workload::ALL {
-        for c in BENCH_CONFIGS {
-            let r = run_one(w, c, repeat);
-            total_new += r.new_s;
-            match (r.kips, r.wall_s) {
-                (Some(kips), Some(wall_s)) => {
-                    println!(
-                        "{:>9} × {:<24} {:>8.1} KIPS  ({} committed in {:.2}s)",
-                        w.name(),
-                        c.label(),
-                        kips,
-                        r.committed,
-                        wall_s
-                    );
-                    total_committed += r.committed;
-                    total_wall += wall_s;
-                }
-                _ => println!(
-                    "{:>9} × {:<24}      n/a  ({} committed; wall time below timer resolution)",
+    for cell in cells {
+        let (w, c) = (cell.w, cell.c);
+        let r = cell.report();
+        total_new += r.new_s;
+        match (r.kips, r.wall_s) {
+            (Some(kips), Some(wall_s)) => {
+                println!(
+                    "{:>9} × {:<24} {:>8.1} KIPS  ({} committed in {:.2}s)",
                     w.name(),
                     c.label(),
-                    r.committed
-                ),
+                    kips,
+                    r.committed,
+                    wall_s
+                );
+                total_committed += r.committed;
+                total_wall += wall_s;
             }
-            runs.push(r);
+            _ => println!(
+                "{:>9} × {:<24}      n/a  ({} committed; wall time below timer resolution)",
+                w.name(),
+                c.label(),
+                r.committed
+            ),
         }
+        runs.push(r);
     }
     let aggregate_kips = (total_wall > 0.0).then(|| total_committed as f64 / total_wall / 1e3);
     match aggregate_kips {

@@ -28,7 +28,7 @@
 
 use pp_check::{fuzz, listing, FUZZ_CONFIGS};
 use pp_core::{SimConfig, Simulator};
-use pp_experiments::cli;
+use pp_experiments::cli::{self, Arg, Flag};
 use pp_isa::{reg, Asm};
 
 /// Deterministically trip the commit checker and return the failure
@@ -59,38 +59,44 @@ fn dump_selftest() -> String {
     format!("[selftest] {report}")
 }
 
-fn main() {
-    let mut count: u64 = 1000;
-    let mut seed: u64 = 0;
-    let mut selftest_path: Option<String> = None;
-    #[expect(clippy::disallowed_methods, reason = "CLI parsing its own argv")]
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--count" => {
-                count = cli::parse_next(&mut args, "--count", "a number of programs");
-                if count == 0 {
-                    cli::usage_error("--count must be at least 1");
-                }
-            }
-            "--seed" => seed = cli::parse_next(&mut args, "--seed", "a 64-bit seed"),
-            "--dump-selftest" => match args.next() {
-                Some(p) => selftest_path = Some(p),
-                None => cli::usage_error("--dump-selftest needs an output path"),
-            },
-            other => cli::usage_error(format_args!(
-                "unknown argument {other:?} (expected --count, --seed, or --dump-selftest)"
-            )),
+/// `(--count, --seed, --dump-selftest)` from the process arguments.
+fn parse_args() -> Result<(u64, u64, Option<String>), String> {
+    const FLAGS: &[Flag] = &[
+        Flag::value("--count", "a number of programs"),
+        Flag::value("--seed", "a 64-bit seed"),
+        Flag::value("--dump-selftest", "an output path"),
+    ];
+    let (mut count, mut seed, mut selftest_path) = (1000, 0, None);
+    for arg in cli::tokenize(cli::argv(), FLAGS)? {
+        match arg {
+            Arg::Value("--count", v) => count = v.parse()?,
+            Arg::Value("--seed", v) => seed = v.parse()?,
+            Arg::Value("--dump-selftest", v) => selftest_path = Some(v.raw),
+            other => return Err(other.unexpected()),
         }
     }
+    if count == 0 {
+        return Err("--count must be at least 1".into());
+    }
+    Ok((count, seed, selftest_path))
+}
+
+/// Run `f` with the panic hook silenced: the checkers report by
+/// panicking, so failing cases panic on purpose. The hook is restored
+/// afterwards, so panics outside `f` still print.
+fn without_panic_output<T>(f: impl FnOnce() -> T) -> T {
+    let default_hook = std::panic::take_hook();
+    std::panic::set_hook(Box::new(|_| {}));
+    let out = f();
+    std::panic::set_hook(default_hook);
+    out
+}
+
+fn main() {
+    let (count, seed, selftest_path) = parse_args().unwrap_or_else(|m| cli::usage_error(m));
 
     if let Some(path) = selftest_path {
-        // The intentional failure panics inside the checker; silence the
-        // default hook's backtrace for it, as the fuzz loop below does.
-        let default_hook = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
-        let report = dump_selftest();
-        std::panic::set_hook(default_hook);
+        let report = without_panic_output(dump_selftest);
         std::fs::write(&path, &report)
             .unwrap_or_else(|e| cli::usage_error(format_args!("cannot write {path:?}: {e}")));
         let ok = report.contains("flight recorder:") && report.contains("cycle");
@@ -107,16 +113,11 @@ fn main() {
         FUZZ_CONFIGS.join("/")
     );
 
-    // Failing cases are *expected* to panic inside the checkers (that is
-    // how the oracle and sanitizer report); silence the default hook's
-    // per-panic backtrace spew while the driver catches and shrinks, and
-    // restore it afterwards so driver bugs still print normally.
-    let default_hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
-    let outcome = fuzz(seed, count, |done| {
-        eprintln!("  {done}/{count} clean");
+    let outcome = without_panic_output(|| {
+        fuzz(seed, count, |done| {
+            eprintln!("  {done}/{count} clean");
+        })
     });
-    std::panic::set_hook(default_hook);
 
     match outcome.failure {
         None => {

@@ -1,17 +1,22 @@
-//! Command-line parsing helpers shared by the experiment binaries.
+//! The one command-line parser of the experiment binaries.
 //!
-//! The binaries are plain `std::env::args` loops (no external argument
-//! parser in this offline workspace). These helpers make the failure
-//! paths uniform: a *usage* error (bad flag, missing or malformed value)
-//! prints one actionable line to stderr and exits with status 2; a
-//! *runtime* failure (can't write an artifact, missing baseline file)
-//! exits with status 1. Neither produces a panic backtrace — those are
-//! reserved for bugs.
+//! Every command (`sweep`'s subcommands, `fuzz_check`, `bench_kernel`)
+//! declares the [`Flag`]s it takes and reads its arguments through
+//! [`tokenize`], which accepts `--flag VALUE`, `--flag=VALUE`, bare
+//! switches and positionals (no external argument parser in this
+//! offline workspace). A flag another command takes is "unknown" here,
+//! so `sweep run --addr x` fails the same way as a typo.
 //!
-//! The `try_*` variants return `Result` so the message text is unit
-//! testable; the panic-free process-exit behaviour itself is covered by
-//! the negative-path integration tests in `tests/cli_negative.rs`,
-//! which spawn the real binaries.
+//! The failure paths are uniform: a *usage* error (unknown, dangling or
+//! malformed flag) prints one actionable `error:` line to stderr and
+//! exits with status 2; a *runtime* failure (can't write an artifact,
+//! missing baseline file) exits with status 1. Neither produces a panic
+//! backtrace — those are reserved for bugs.
+//!
+//! The parsers return `Result` so the message text is unit testable;
+//! the panic-free process-exit behaviour itself is covered by the
+//! negative-path integration tests in `tests/cli_negative.rs`, which
+//! spawn the real binaries.
 
 use std::fmt::Display;
 use std::path::PathBuf;
@@ -32,75 +37,150 @@ pub fn fail(msg: impl Display) -> ! {
     std::process::exit(1);
 }
 
-/// The value following `flag`, or a usage error naming the flag and what
-/// it expects (e.g. `--out needs a path`).
-pub fn require_value(args: &mut impl Iterator<Item = String>, flag: &str, what: &str) -> String {
-    match args.next() {
-        Some(v) => v,
-        None => usage_error(format_args!("{flag} needs {what}")),
+/// The process arguments, without `argv[0]`.
+#[expect(clippy::disallowed_methods, reason = "CLI parsing its own argv")]
+pub fn argv() -> Vec<String> {
+    std::env::args().skip(1).collect()
+}
+
+/// A flag a command takes: a switch, or a value flag that names what
+/// its value is (`--out-dir needs a directory`).
+#[derive(Debug, Clone, Copy)]
+pub struct Flag {
+    name: &'static str,
+    value: Option<&'static str>,
+}
+
+impl Flag {
+    /// A flag followed by a value described as `what`.
+    pub const fn value(name: &'static str, what: &'static str) -> Flag {
+        Flag {
+            name,
+            value: Some(what),
+        }
+    }
+
+    /// A bare switch.
+    pub const fn switch(name: &'static str) -> Flag {
+        Flag { name, value: None }
     }
 }
 
-/// Parse `raw` as a `T`, with a message naming the flag and the value.
-pub fn try_parse_value<T: FromStr>(flag: &str, raw: &str, what: &str) -> Result<T, String>
-where
-    T::Err: Display,
-{
-    raw.parse()
-        .map_err(|e| format!("{flag}: {raw:?} is not {what} ({e})"))
+/// The value given to a value flag.
+#[derive(Debug)]
+pub struct Value {
+    flag: &'static str,
+    what: &'static str,
+    /// The value as typed.
+    pub raw: String,
 }
 
-/// [`try_parse_value`], exiting with a usage error on failure.
-pub fn parse_value<T: FromStr>(flag: &str, raw: &str, what: &str) -> T
-where
-    T::Err: Display,
-{
-    try_parse_value(flag, raw, what).unwrap_or_else(|m| usage_error(m))
+impl Value {
+    /// The value parsed as a `T`; the message names the flag, the value
+    /// and what was expected.
+    pub fn parse<T: FromStr>(&self) -> Result<T, String>
+    where
+        T::Err: Display,
+    {
+        let (flag, raw, what) = (self.flag, &self.raw, self.what);
+        raw.parse()
+            .map_err(|e| format!("{flag}: {raw:?} is not {what} ({e})"))
+    }
+
+    /// The value as a path.
+    pub fn path(self) -> PathBuf {
+        PathBuf::from(self.raw)
+    }
 }
 
-/// Consume and parse the value following `flag` in one step.
-pub fn parse_next<T: FromStr>(args: &mut impl Iterator<Item = String>, flag: &str, what: &str) -> T
-where
-    T::Err: Display,
-{
-    let raw = require_value(args, flag, what);
-    parse_value(flag, &raw, what)
+/// One command-line argument, classified against a command's flags.
+#[derive(Debug)]
+pub enum Arg {
+    /// A declared switch.
+    Switch(&'static str),
+    /// A declared value flag and its value.
+    Value(&'static str, Value),
+    /// Anything that does not start with `--`.
+    Positional(String),
 }
 
-// ---------------------------------------------------------------------
-// Unified sweep flags
-// ---------------------------------------------------------------------
+impl Arg {
+    /// The usage error for an argument the command has no use for.
+    pub fn unexpected(self) -> String {
+        match self {
+            Arg::Switch(name) | Arg::Value(name, _) => format!("unexpected argument: {name}"),
+            Arg::Positional(p) => format!("unexpected argument {p:?}"),
+        }
+    }
+}
 
-/// The flag set every sweep-driven binary shares:
-///
-/// * `--workers N` — worker threads (default: one per core)
-/// * `--out-dir DIR` — artifact directory (default: none for
-///   `workload_profile`, `results` for `sweep`)
-/// * `--cache-dir DIR` — result cache root (default `results/cache`)
-/// * `--no-cache` — disable the result cache entirely
-/// * `--max-cells N` — simulate at most N cells, skip the rest
-///   (cache hits are free; this is the deterministic "interrupt")
-/// * `--quiet` — suppress per-cell progress lines
-/// * `--telemetry-out DIR` — write per-workload telemetry artifacts and
-///   sweep metrics there (default: none)
-/// * `--telemetry-sample-every N` — machine-state sampling interval in
-///   cycles (default 64)
-///
-/// Every value flag accepts both `--flag VALUE` and `--flag=VALUE`.
+/// Classify `args` against `flags`, in order. A value flag takes its
+/// value from `--flag=VALUE` or from the next argument; an undeclared
+/// `--flag`, a value flag with nothing after it, and a switch given
+/// `=VALUE` are usage errors.
+pub fn tokenize(
+    args: impl IntoIterator<Item = String>,
+    flags: &[Flag],
+) -> Result<Vec<Arg>, String> {
+    let mut out = Vec::new();
+    let mut it = args.into_iter();
+    while let Some(a) = it.next() {
+        if !a.starts_with("--") {
+            out.push(Arg::Positional(a));
+            continue;
+        }
+        let (name, inline) = match a.split_once('=') {
+            Some((name, v)) => (name, Some(v.to_string())),
+            None => (a.as_str(), None),
+        };
+        let Some(flag) = flags.iter().find(|f| f.name == name) else {
+            return Err(format!("unknown argument: {name}"));
+        };
+        out.push(match (flag.value, inline) {
+            (None, None) => Arg::Switch(flag.name),
+            (None, Some(_)) => return Err(format!("{name} takes no value")),
+            (Some(what), inline) => {
+                let raw = inline
+                    .or_else(|| it.next())
+                    .ok_or_else(|| format!("{name} needs {what}"))?;
+                Arg::Value(
+                    flag.name,
+                    Value {
+                        flag: flag.name,
+                        what,
+                        raw,
+                    },
+                )
+            }
+        });
+    }
+    Ok(out)
+}
+
+/// `--cache-dir DIR`: the result cache root (default `results/cache`).
+pub const CACHE_DIR: Flag = Flag::value("--cache-dir", "a directory");
+/// `--no-cache`: disable the result cache entirely.
+pub const NO_CACHE: Flag = Flag::switch("--no-cache");
+/// `--telemetry-out DIR`: where telemetry artifacts and sweep metrics go.
+pub const TELEMETRY_OUT: Flag = Flag::value("--telemetry-out", "a directory");
+
+/// The options of the commands that run registry grids in process
+/// (`sweep run`, `sweep profile`), one field per flag of [`Self::FLAGS`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SweepOpts {
-    /// Worker thread count; 0 = one per available core.
+    /// `--workers N`: worker threads; 0 (the default) = one per core.
     pub workers: usize,
-    /// Where rendered artifacts (CSVs etc.) are written; `None` prints
-    /// to stdout only.
+    /// `--out-dir DIR`: where rendered artifacts (CSVs etc.) go; `None`
+    /// prints to stdout only.
     pub out_dir: Option<PathBuf>,
-    /// Result-cache root; `None` disables caching.
+    /// `--cache-dir DIR` (default `results/cache`); `--no-cache` = `None`.
     pub cache_dir: Option<PathBuf>,
-    /// Cell budget for this run (`--max-cells`).
+    /// `--max-cells N`: simulate at most N cells and skip the rest
+    /// (cache hits are free; this is the deterministic "interrupt").
     pub max_cells: Option<usize>,
-    /// Suppress progress output.
+    /// `--quiet`: no per-cell progress lines.
     pub quiet: bool,
-    /// Telemetry artifact options.
+    /// `--telemetry-out DIR` and `--telemetry-sample-every N`.
     pub telemetry: TelemetryOpts,
 }
 
@@ -118,89 +198,50 @@ impl Default for SweepOpts {
 }
 
 impl SweepOpts {
-    /// Parse the unified flags out of `args`, returning the options and
-    /// the remaining positional arguments (in order). Unknown `--flags`
-    /// are an error so typos fail loudly instead of being treated as
-    /// positionals.
+    /// The flags [`Self::apply`] understands.
+    pub const FLAGS: &'static [Flag] = &[
+        Flag::value("--workers", "a thread count"),
+        Flag::value("--out-dir", "a directory"),
+        CACHE_DIR,
+        NO_CACHE,
+        Flag::value("--max-cells", "a cell count"),
+        Flag::switch("--quiet"),
+        TELEMETRY_OUT,
+        Flag::value("--telemetry-sample-every", "a cycle count"),
+    ];
+
+    /// Apply `arg` if it is one of [`Self::FLAGS`] and hand back any
+    /// other argument. Later flags override earlier ones.
+    pub fn apply(&mut self, arg: Arg) -> Result<Option<Arg>, String> {
+        match arg {
+            Arg::Value("--workers", v) => self.workers = v.parse()?,
+            Arg::Value("--out-dir", v) => self.out_dir = Some(v.path()),
+            Arg::Value("--cache-dir", v) => self.cache_dir = Some(v.path()),
+            Arg::Switch("--no-cache") => self.cache_dir = None,
+            Arg::Value("--max-cells", v) => self.max_cells = Some(v.parse()?),
+            Arg::Switch("--quiet") => self.quiet = true,
+            Arg::Value("--telemetry-out", v) => self.telemetry.out_dir = Some(v.path()),
+            Arg::Value("--telemetry-sample-every", v) => self.telemetry.sample_every = v.parse()?,
+            other => return Ok(Some(other)),
+        }
+        Ok(None)
+    }
+
+    /// Parse [`Self::FLAGS`] out of `args`, returning the options and
+    /// the positional arguments in order.
     pub fn try_parse(
         args: impl IntoIterator<Item = String>,
     ) -> Result<(Self, Vec<String>), String> {
         let mut opts = SweepOpts::default();
         let mut positional = Vec::new();
-        let mut it = args.into_iter();
-        let value = |flag: &str,
-                     inline: Option<String>,
-                     it: &mut dyn Iterator<Item = String>,
-                     what: &str| {
-            match inline {
-                Some(v) => Ok(v),
-                None => it.next().ok_or(format!("{flag} needs {what}")),
-            }
-        };
-        while let Some(a) = it.next() {
-            let (flag, inline) = match a.split_once('=') {
-                Some((f, v)) if f.starts_with("--") => (f.to_string(), Some(v.to_string())),
-                _ => (a.clone(), None),
-            };
-            match flag.as_str() {
-                "--workers" => {
-                    let v = value("--workers", inline, &mut it, "a thread count")?;
-                    opts.workers = try_parse_value("--workers", &v, "a thread count")?;
-                }
-                "--out-dir" => {
-                    opts.out_dir = Some(PathBuf::from(value(
-                        "--out-dir",
-                        inline,
-                        &mut it,
-                        "a directory",
-                    )?));
-                }
-                "--cache-dir" => {
-                    opts.cache_dir = Some(PathBuf::from(value(
-                        "--cache-dir",
-                        inline,
-                        &mut it,
-                        "a directory",
-                    )?));
-                }
-                "--no-cache" => opts.cache_dir = None,
-                "--max-cells" => {
-                    let v = value("--max-cells", inline, &mut it, "a cell count")?;
-                    opts.max_cells = Some(try_parse_value("--max-cells", &v, "a cell count")?);
-                }
-                "--quiet" => opts.quiet = true,
-                "--telemetry-out" => {
-                    opts.telemetry.out_dir = Some(PathBuf::from(value(
-                        "--telemetry-out",
-                        inline,
-                        &mut it,
-                        "a directory",
-                    )?));
-                }
-                "--telemetry-sample-every" => {
-                    let v = value("--telemetry-sample-every", inline, &mut it, "a cycle count")?;
-                    opts.telemetry.sample_every =
-                        try_parse_value("--telemetry-sample-every", &v, "a cycle count")?;
-                }
-                other if other.starts_with("--") => {
-                    return Err(format!("unknown argument: {other}"));
-                }
-                _ => positional.push(a),
+        for arg in tokenize(args, Self::FLAGS)? {
+            match opts.apply(arg)? {
+                None => {}
+                Some(Arg::Positional(p)) => positional.push(p),
+                Some(other) => return Err(other.unexpected()),
             }
         }
         Ok((opts, positional))
-    }
-
-    /// [`Self::try_parse`], exiting with a usage error (status 2) on
-    /// malformed input.
-    pub fn parse(args: impl IntoIterator<Item = String>) -> (Self, Vec<String>) {
-        Self::try_parse(args).unwrap_or_else(|m| usage_error(m))
-    }
-
-    /// Parse from the process arguments (skipping `argv[0]`).
-    #[expect(clippy::disallowed_methods, reason = "CLI parsing its own argv")]
-    pub fn from_env() -> (Self, Vec<String>) {
-        Self::parse(std::env::args().skip(1))
     }
 }
 
@@ -208,29 +249,91 @@ impl SweepOpts {
 mod tests {
     use super::*;
 
-    #[test]
-    fn try_parse_value_accepts_good_input() {
-        assert_eq!(
-            try_parse_value::<u64>("--repeat", "3", "a positive integer"),
-            Ok(3)
-        );
+    fn value(flag: &'static str, what: &'static str, raw: &str) -> Value {
+        Value {
+            flag,
+            what,
+            raw: raw.to_string(),
+        }
     }
 
     #[test]
-    fn try_parse_value_message_names_flag_and_value() {
-        let err = try_parse_value::<u64>("--repeat", "lots", "a positive integer").unwrap_err();
+    fn value_parse_accepts_good_input() {
+        let v = value("--repeat", "a positive integer", "3");
+        assert_eq!(v.parse::<u64>(), Ok(3));
+    }
+
+    #[test]
+    fn value_parse_message_names_flag_and_value() {
+        let v = value("--repeat", "a positive integer", "lots");
+        let err = v.parse::<u64>().unwrap_err();
         assert!(err.contains("--repeat"), "{err}");
         assert!(err.contains("\"lots\""), "{err}");
         assert!(err.contains("a positive integer"), "{err}");
     }
 
     #[test]
-    fn try_parse_value_rejects_negative_for_unsigned() {
-        assert!(try_parse_value::<u64>("--count", "-1", "a count").is_err());
+    fn value_parse_rejects_negative_for_unsigned() {
+        assert!(value("--count", "a count", "-1").parse::<u64>().is_err());
     }
 
     fn args(v: &[&str]) -> Vec<String> {
         v.iter().map(std::string::ToString::to_string).collect()
+    }
+
+    const FLAGS: &[Flag] = &[Flag::value("--count", "a count"), Flag::switch("--dry")];
+
+    #[test]
+    fn tokenize_classifies_in_order() {
+        let toks = tokenize(
+            args(&["a", "--count=3", "--dry", "b", "--count", "4"]),
+            FLAGS,
+        );
+        let values: Vec<String> = toks
+            .unwrap()
+            .into_iter()
+            .map(|t| match t {
+                Arg::Switch(n) => n.to_string(),
+                Arg::Value(n, v) => format!("{n}={}", v.parse::<u64>().unwrap()),
+                Arg::Positional(p) => p,
+            })
+            .collect();
+        assert_eq!(values, args(&["a", "--count=3", "--dry", "b", "--count=4"]));
+    }
+
+    #[test]
+    fn tokenize_keeps_dashes_and_equals_inside_values() {
+        let toks = tokenize(args(&["--count", "-3", "--count=a=b"]), FLAGS).unwrap();
+        let raw: Vec<&str> = toks
+            .iter()
+            .map(|t| match t {
+                Arg::Value(_, v) => v.raw.as_str(),
+                other => panic!("{other:?}"),
+            })
+            .collect();
+        assert_eq!(raw, ["-3", "a=b"]);
+    }
+
+    #[test]
+    fn tokenize_rejects_unknown_dangling_and_malformed_flags() {
+        let err = tokenize(args(&["--frob=1"]), FLAGS).unwrap_err();
+        assert_eq!(err, "unknown argument: --frob");
+        let err = tokenize(args(&["x", "--count"]), FLAGS).unwrap_err();
+        assert_eq!(err, "--count needs a count");
+        let err = tokenize(args(&["--dry=yes"]), FLAGS).unwrap_err();
+        assert_eq!(err, "--dry takes no value");
+    }
+
+    #[test]
+    fn unexpected_names_the_argument() {
+        assert_eq!(
+            Arg::Positional("x".into()).unexpected(),
+            "unexpected argument \"x\""
+        );
+        assert_eq!(
+            Arg::Switch("--dry").unexpected(),
+            "unexpected argument: --dry"
+        );
     }
 
     #[test]
@@ -272,6 +375,8 @@ mod tests {
     fn sweep_opts_no_cache() {
         let (o, _) = SweepOpts::try_parse(args(&["--no-cache"])).unwrap();
         assert_eq!(o.cache_dir, None);
+        let (o, _) = SweepOpts::try_parse(args(&["--no-cache", "--cache-dir", "c"])).unwrap();
+        assert_eq!(o.cache_dir, Some(PathBuf::from("c")));
     }
 
     #[test]
@@ -290,6 +395,8 @@ mod tests {
         assert!(err.contains("\"many\""), "{err}");
         let err = SweepOpts::try_parse(args(&["--out-dir"])).unwrap_err();
         assert!(err.contains("--out-dir needs a directory"), "{err}");
+        let err = SweepOpts::try_parse(args(&["--quiet=1"])).unwrap_err();
+        assert!(err.contains("--quiet takes no value"), "{err}");
     }
 
     #[test]

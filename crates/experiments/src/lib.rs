@@ -7,10 +7,12 @@
 //! (cached, parallel, typed per-cell failures — see DESIGN.md
 //! §3e), harmonic means, and text-table formatting.
 //!
-//! The front door is the `sweep` binary (`sweep list`, `sweep run
-//! fig9`, `sweep run all`), which takes the unified flags (`--workers`,
-//! `--out-dir`, `--cache-dir`, `--no-cache`, `--max-cells`,
-//! `--quiet`, `--telemetry-out`, `--telemetry-sample-every`).
+//! The front door is the `sweep` binary: `sweep list`, `sweep run
+//! fig9`, `sweep run all`, `sweep profile [WORKLOAD]`, and the
+//! distributed `sweep serve` / `sweep work` pair. `run` and `profile`
+//! take the sweep flags (`--workers`, `--out-dir`, `--cache-dir`,
+//! `--no-cache`, `--max-cells`, `--quiet`, `--telemetry-out`,
+//! `--telemetry-sample-every`); [`cli`] parses every command's flags.
 //!
 //! Experiments (`cargo run --release -p pp-experiments --bin sweep --
 //! run <name>`):
@@ -35,8 +37,8 @@
 //! | `workload_profile` | per-workload hot-loop profiles |
 //! | `all` | every registered experiment, written as text + CSV |
 //!
-//! The `workload_profile` binary additionally prints one workload's
-//! annotated listing (`workload_profile go`).
+//! `sweep profile` additionally prints one workload's annotated listing
+//! (`sweep profile go`).
 //!
 //! Every binary honours `PP_SCALE` (a float multiplier on workload scale,
 //! default 1.0) so quick runs and full runs use the same code path.

@@ -8,9 +8,10 @@
 //! §5.2 all use the same 48-cell matrix) pay for them once.
 //!
 //! The `sweep` binary exposes this registry as subcommands
-//! (`sweep run fig9`, `sweep run all`).
+//! (`sweep run fig9`, `sweep run all`, `sweep serve fig9`).
 
 use std::fmt::Write as _;
+use std::path::Path;
 
 use pp_core::{
     CacheConfig, ConfidenceKind, FetchPolicy, PipeView, Policy, PredictorKind, SimConfig, SimStats,
@@ -21,6 +22,7 @@ use pp_sweep::{
     run_experiment, scale_factor, scaled, CellResult, Experiment, ExperimentOutcome, Rendered,
     SweepCell, SweepEngine,
 };
+use pp_telemetry::Registry;
 use pp_workloads::Workload;
 
 use crate::cli::SweepOpts;
@@ -1657,6 +1659,25 @@ pub fn names() -> Vec<&'static str> {
     registry().iter().map(|e| e.name()).collect()
 }
 
+/// The experiments the command-line names in `requested` select: the
+/// whole registry for a lone `all`, else each name in order. Every name
+/// is checked before anything runs; `Err` is a usage message.
+pub fn select(requested: &[String]) -> Result<Vec<Box<dyn Experiment>>, String> {
+    if requested.iter().any(|n| n == "all") {
+        if requested.len() > 1 {
+            return Err("`all` cannot be combined with other names".into());
+        }
+        return Ok(registry());
+    }
+    requested
+        .iter()
+        .map(|n| {
+            find(n)
+                .ok_or_else(|| format!("unknown experiment `{n}`; known: {}", names().join(", ")))
+        })
+        .collect()
+}
+
 // ---------------------------------------------------------------------
 // Runner
 // ---------------------------------------------------------------------
@@ -1673,15 +1694,8 @@ pub fn engine_from(opts: &SweepOpts) -> SweepEngine {
     engine
 }
 
-/// Experiments whose `--telemetry-out` additionally triggers the
-/// instrumented SEE/JRS re-run (artifact prefix per experiment).
-fn instrumented_prefix(name: &str) -> Option<&'static str> {
-    match name {
-        "fig8" => Some("fig8_see_jrs"),
-        _ => None,
-    }
-}
-
+/// The instrumented SEE/JRS re-run that `--telemetry-out` adds to
+/// `fig8`, its artifacts named `{prefix}_{workload}.*`.
 fn telemetry_pass(prefix: &'static str, opts: &TelemetryOpts) -> Result<(), String> {
     println!("\ntelemetry pass (SEE/JRS, instrumented re-run):");
     let cfg = named_config(Config::SeeJrs, BASELINE_HISTORY_BITS);
@@ -1714,16 +1728,9 @@ pub fn run_one(exp: &dyn Experiment, opts: &SweepOpts) -> Result<(), String> {
                 eprintln!("[sweep] {}: {}", exp.name(), report.summary());
             }
             if let Some(dir) = &opts.telemetry.out_dir {
-                let path = dir.join(format!("sweep_{}.metrics.jsonl", exp.name()));
-                std::fs::create_dir_all(dir)
-                    .and_then(|()| {
-                        let mut f = std::io::BufWriter::new(std::fs::File::create(&path)?);
-                        pp_telemetry::write_registry_jsonl(&mut f, &report.registry).map(|_| ())
-                    })
-                    .map_err(|e| format!("writing {}: {e}", path.display()))?;
-                println!("wrote {}", path.display());
-                if let Some(prefix) = instrumented_prefix(exp.name()) {
-                    telemetry_pass(prefix, &opts.telemetry)?;
+                write_metrics(dir, &format!("sweep_{}", exp.name()), &report.registry)?;
+                if exp.name() == "fig8" {
+                    telemetry_pass("fig8_see_jrs", &opts.telemetry)?;
                 }
             }
             Ok(())
@@ -1741,11 +1748,18 @@ pub fn run_one(exp: &dyn Experiment, opts: &SweepOpts) -> Result<(), String> {
     }
 }
 
-/// Run the experiment registered as `name`.
-pub fn run_by_name(name: &str, opts: &SweepOpts) -> Result<(), String> {
-    let exp = find(name)
-        .ok_or_else(|| format!("unknown experiment `{name}`; known: {}", names().join(", ")))?;
-    run_one(exp.as_ref(), opts)
+/// Export `registry` as `{dir}/{stem}.metrics.jsonl`, the file `sweep
+/// run --telemetry-out` and `sweep serve --telemetry-out` write.
+pub fn write_metrics(dir: &Path, stem: &str, registry: &Registry) -> Result<(), String> {
+    let path = dir.join(format!("{stem}.metrics.jsonl"));
+    std::fs::create_dir_all(dir)
+        .and_then(|()| {
+            let mut f = std::io::BufWriter::new(std::fs::File::create(&path)?);
+            pp_telemetry::write_registry_jsonl(&mut f, registry).map(|_| ())
+        })
+        .map_err(|e| format!("writing {}: {e}", path.display()))?;
+    println!("wrote {}", path.display());
+    Ok(())
 }
 
 /// Run every registered experiment, continuing past failures; `Err`

@@ -1,6 +1,8 @@
 //! Negative-path tests for the experiment binaries' command-line
 //! handling: malformed user input must produce one actionable stderr
-//! line and exit status 2 — never a panic backtrace.
+//! line and exit status 2 — never a panic backtrace. Every command
+//! reads its flags through the one tokenizer in `cli.rs`, and each
+//! rejects the flags of the others.
 //!
 //! These spawn the real binaries (via the `CARGO_BIN_EXE_*` paths cargo
 //! provides to integration tests), so they cover the actual `main`
@@ -166,8 +168,17 @@ fn sweep_run_rejects_unknown_flags_and_stray_names() {
 }
 
 #[test]
-fn workload_profile_rejects_unknown_workload() {
-    let out = run(env!("CARGO_BIN_EXE_workload_profile"), &["pascal"]);
+fn sweep_run_rejects_the_flags_of_other_subcommands() {
+    let out = run(
+        env!("CARGO_BIN_EXE_sweep"),
+        &["run", "table1", "--addr", "x"],
+    );
+    assert_usage_error(&out, &["unknown argument", "--addr"]);
+}
+
+#[test]
+fn sweep_profile_rejects_unknown_workload() {
+    let out = run(env!("CARGO_BIN_EXE_sweep"), &["profile", "pascal"]);
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
     assert!(stderr.contains("unknown workload `pascal`"), "{stderr}");
@@ -175,10 +186,43 @@ fn workload_profile_rejects_unknown_workload() {
 }
 
 #[test]
-fn serve_rejects_the_removed_lease_cap_flags() {
+fn sweep_serve_rejects_the_removed_lease_cap_flags() {
     for flag in [["--quota", "2"], ["--max-inflight", "4"]] {
-        let args = ["table1", flag[0], flag[1]];
-        let out = run(env!("CARGO_BIN_EXE_serve"), &args);
+        let args = ["serve", "table1", flag[0], flag[1]];
+        let out = run(env!("CARGO_BIN_EXE_sweep"), &args);
         assert_usage_error(&out, &["unknown argument", flag[0]]);
     }
+}
+
+#[test]
+fn sweep_serve_rejects_the_flags_of_run() {
+    let out = run(
+        env!("CARGO_BIN_EXE_sweep"),
+        &["serve", "table1", "--workers", "2"],
+    );
+    assert_usage_error(&out, &["unknown argument", "--workers"]);
+}
+
+#[test]
+fn sweep_work_needs_an_address() {
+    let out = run(env!("CARGO_BIN_EXE_sweep"), &["work"]);
+    assert_usage_error(&out, &["usage: sweep work --addr"]);
+    let out = run(env!("CARGO_BIN_EXE_sweep"), &["work", "--client", "w1"]);
+    assert_usage_error(&out, &["usage: sweep work --addr"]);
+    let out = run(env!("CARGO_BIN_EXE_sweep"), &["work", "--addr"]);
+    assert_usage_error(&out, &["--addr needs"]);
+}
+
+// --- `--flag=VALUE` reaches every command's checks -------------------
+
+#[test]
+fn fuzz_check_rejects_zero_count_given_inline() {
+    let out = run(env!("CARGO_BIN_EXE_fuzz_check"), &["--count=0"]);
+    assert_usage_error(&out, &["--count must be at least 1"]);
+}
+
+#[test]
+fn bench_kernel_rejects_zero_repeat_given_inline() {
+    let out = run(env!("CARGO_BIN_EXE_bench_kernel"), &["--repeat=0"]);
+    assert_usage_error(&out, &["--repeat", "positive integer"]);
 }

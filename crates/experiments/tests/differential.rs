@@ -7,7 +7,11 @@
 //! in lock step, and the machine's internal invariants (CTX tag
 //! hierarchy, wakeup/completion bookkeeping, store-buffer filtering,
 //! register conservation) are validated after every cycle. Any
-//! divergence or violation panics with a cycle-stamped report.
+//! divergence or violation panics with a cycle-stamped report. Each
+//! checked run's `SimStats` must also equal the committed golden of its
+//! cell byte for byte: armed checkers observe the machine and never
+//! steer it. The goldens are only read here; the golden suite owns
+//! them.
 //!
 //! Tier-2 like the golden suite: the sanitizer multiplies run time, so
 //! the full matrix only runs under `--release` (CI's `check` job);
@@ -16,8 +20,19 @@
 use pp_core::Simulator;
 use pp_experiments::experiments::BASELINE_HISTORY_BITS;
 use pp_experiments::{named_config, Config};
-use pp_testutil::golden::GOLDEN_SCALE;
+use pp_testutil::golden::{assert_golden, golden_dir, GOLDEN_SCALE};
 use pp_workloads::Workload;
+
+/// Golden-file key of each checked configuration (`golden.rs` names
+/// the same cells).
+fn golden_key(c: Config) -> &'static str {
+    match c {
+        Config::Monopath => "monopath",
+        Config::SeeJrs => "see_jrs",
+        Config::DualJrs => "dual_jrs",
+        other => panic!("{other:?} has no golden cell in this suite"),
+    }
+}
 
 fn check_config(c: Config) {
     if cfg!(debug_assertions) {
@@ -38,6 +53,8 @@ fn check_config(c: Config) {
         sim.finish_commit_check();
         assert!(!stats.hit_cycle_limit, "{w} hit the cycle limit");
         assert!(stats.committed_instructions > 0, "{w} committed nothing");
+        let golden = golden_dir().join(format!("{}_{}.json", w.name(), golden_key(c)));
+        assert_golden(&golden, &stats.to_json());
     }
 }
 

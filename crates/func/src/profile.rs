@@ -1,7 +1,7 @@
 //! Per-PC execution profiling on the functional emulator.
 //!
 //! Used to characterize workloads (hot loops, per-branch bias) — the
-//! `workload_profile` binary in `pp-experiments` prints annotated
+//! `sweep profile` subcommand in `pp-experiments` prints annotated
 //! listings from this.
 
 use pp_isa::Program;

@@ -3,7 +3,7 @@
 //!
 //! A worker never ships configurations over the wire. It rebuilds the
 //! server's grid locally from the registry names in `welcome` (via the
-//! caller-supplied resolver — the `work` binary passes the experiment
+//! caller-supplied resolver — `sweep work` passes the experiment
 //! suite), then proves the grids identical with one `grid_sig`
 //! comparison before accepting any lease. Per-cell fingerprints are
 //! re-verified on every `cell` frame, so `PP_SCALE` or behavior-

@@ -5,8 +5,7 @@
 //! *when*:
 //!
 //! * a typed **metrics registry** ([`Registry`]) — counters, gauges, and
-//!   log-bucketed [`Histogram`]s behind static names, no-cost when
-//!   disabled;
+//!   log-bucketed [`Histogram`]s behind static names;
 //! * **attribution tables** — per-branch-PC divergence outcomes and
 //!   confidence truth tables ([`BranchTable`]), per-path lifetime and
 //!   kill-depth histograms ([`PathTable`]), and a cycle-sampled

@@ -3,8 +3,7 @@
 //!
 //! Instruments are registered once (getting back a copyable id) and
 //! updated through the id — updates are a bounds-checked array index, no
-//! hashing. A registry built disabled turns every update into an
-//! immediate return so instrumented code can stay in place at zero cost.
+//! hashing.
 
 /// Handle to a registered counter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -143,30 +142,15 @@ impl Histogram {
 /// registering an existing name returns the existing id.
 #[derive(Debug, Default)]
 pub struct Registry {
-    enabled: bool,
     counters: Vec<(&'static str, u64)>,
     gauges: Vec<(&'static str, f64)>,
     hists: Vec<(&'static str, Histogram)>,
 }
 
 impl Registry {
-    /// A live registry.
+    /// An empty registry.
     pub fn new() -> Self {
-        Registry {
-            enabled: true,
-            ..Default::default()
-        }
-    }
-
-    /// A disabled registry: instruments register normally, every update
-    /// is a no-op, and exports see only zeros.
-    pub fn disabled() -> Self {
-        Registry::default()
-    }
-
-    /// Whether updates are being recorded.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
+        Self::default()
     }
 
     /// Register (or look up) a counter.
@@ -199,25 +183,19 @@ impl Registry {
     /// Add `by` to a counter.
     #[inline]
     pub fn inc(&mut self, id: CounterId, by: u64) {
-        if self.enabled {
-            self.counters[id.0].1 += by;
-        }
+        self.counters[id.0].1 += by;
     }
 
     /// Set a gauge to its latest value.
     #[inline]
     pub fn set(&mut self, id: GaugeId, value: f64) {
-        if self.enabled {
-            self.gauges[id.0].1 = value;
-        }
+        self.gauges[id.0].1 = value;
     }
 
     /// Record a histogram sample.
     #[inline]
     pub fn observe(&mut self, id: HistId, value: u64) {
-        if self.enabled {
-            self.hists[id.0].1.record(value);
-        }
+        self.hists[id.0].1.record(value);
     }
 
     /// Current value of a counter.
@@ -265,21 +243,6 @@ mod tests {
         r.inc(b, 2);
         assert_eq!(r.counter_value(a), 5);
         assert_eq!(r.counters().count(), 1);
-    }
-
-    #[test]
-    fn disabled_registry_ignores_updates() {
-        let mut r = Registry::disabled();
-        let c = r.counter("x");
-        let g = r.gauge("y");
-        let h = r.histogram("z");
-        r.inc(c, 10);
-        r.set(g, 1.5);
-        r.observe(h, 42);
-        assert_eq!(r.counter_value(c), 0);
-        assert_eq!(r.gauge_value(g), 0.0);
-        assert_eq!(r.hist(h).count(), 0);
-        assert!(!r.is_enabled());
     }
 
     #[test]

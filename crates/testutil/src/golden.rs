@@ -60,6 +60,17 @@ pub fn check_golden(path: &Path, actual: &str) {
         }
         return;
     }
+    assert_golden(path, actual);
+}
+
+/// Compare `actual` against the committed snapshot at `path`, in every
+/// mode: for suites that re-run a cell another suite owns and must
+/// never rewrite its snapshot.
+///
+/// # Panics
+/// Panics (failing the test) when the snapshot is missing or differs,
+/// with a first-divergence diff.
+pub fn assert_golden(path: &Path, actual: &str) {
     let expected = std::fs::read_to_string(path).unwrap_or_else(|e| {
         panic!(
             "golden file {} unreadable ({e}); run the test once with \
